@@ -81,8 +81,7 @@ def collect_static_uses(execution, thread, instr):
     def resolve(expr):
         """Evaluate a sub-expression for address computation, or None."""
         try:
-            scratch = []
-            return execution._eval(expr, thread, frame, scratch)
+            return execution.evaluate(expr, thread.name)
         except Exception:
             return None
 

@@ -35,7 +35,7 @@ def is_shared_loc(location):
     return location[0] in ("global", "heap")
 
 
-@dataclass
+@dataclass(slots=True)
 class StepEffects:
     """The observable effects of executing one instruction."""
 

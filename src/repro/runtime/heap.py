@@ -24,7 +24,7 @@ class HeapStruct:
             raise InterpreterError("struct has no field %r" % name)
         return self.fields[name]
 
-    def set(self, name, value):
+    def set(self, name, value, pc=None, thread=None):
         if name not in self.fields:
             raise InterpreterError("struct has no field %r" % name)
         self.fields[name] = check_value(value)

@@ -14,11 +14,12 @@ paper's only production-run instrumentation; its cost is what Fig. 10
 measures).
 
 This module is the hottest path in the codebase — every testrun of every
-schedule search funnels through :meth:`Execution.step`.  Opcodes dispatch
-through a class-level table of bound handlers rather than an ``if/elif``
-chain, the instruction array is cached on the execution, and
-:meth:`Execution.run` resolves hook and scheduler-observer methods once
-per run instead of per step.
+schedule search funnels through it.  :mod:`repro.runtime.codegen`
+compiles each instruction once per program into a closure:
+:meth:`Execution.step`, which hooks observe, runs the *traced* closures
+that record uses and defs; :meth:`Execution.run_chain` runs the *fast*
+ones, which record none.  :meth:`Execution.run` resolves hook and
+scheduler-observer methods once per run.
 
 Block execution (the macro-step path)
 -------------------------------------
@@ -56,27 +57,11 @@ instruction path, because hooks define per-instruction observability.
 from dataclasses import dataclass
 from typing import Optional
 
-from ..lang import ast
-from ..lang.errors import (
-    DivisionByZero,
-    InterpreterError,
-    LockFault,
-    NullDereference,
-    RuntimeFault,
-    AssertionFault,
-)
-from ..lang.lower import Opcode
-from ..lang.values import NULL, Pointer
-from .events import (
-    Failure,
-    StepEffects,
-    StopExecution,
-    global_loc,
-    heap_loc,
-    local_loc,
-)
-from .frames import Frame, RegionEntry, ThreadState, ThreadStatus
-from .heap import Heap, HeapArray, HeapStruct
+from ..lang.errors import InterpreterError, RuntimeFault
+from .codegen import code_for, compile_expr
+from .events import Failure, StepEffects, StopExecution
+from .frames import Frame, ThreadState, ThreadStatus
+from .heap import Heap
 from .sync import LockTable
 from .waitsfor import deadlock_failure, hang_failure
 
@@ -146,9 +131,11 @@ class Execution:
         self.analysis = analysis
         self.program = compiled.program
         self.scheduler = scheduler
-        #: direct reference to the instruction array — ``self._instrs[pc]``
-        #: skips a method call on the hottest lookups
         self._instrs = compiled.instrs
+        code = code_for(compiled, analysis)
+        self._fast, self._traced = code.fast, code.traced
+        #: per pc, the lock an ``ACQUIRE`` there takes (None elsewhere)
+        self.acquire_locks = code.acquire_lock
         self._thread_order = [spec.name for spec in compiled.program.threads]
         self.instrument_loops = instrument_loops
         self.hooks = list(hooks)
@@ -204,146 +191,23 @@ class Execution:
             frame = self._new_frame(spec.func, zip(fc.params, spec.args))
             self.threads[spec.name] = ThreadState(name=spec.name, frames=[frame])
 
-    # -- expression evaluation ------------------------------------------------
+    # -- read-only evaluation ----------------------------------------------
 
-    def _truthy(self, value):
-        if isinstance(value, Pointer):
-            return not value.is_null
-        return bool(value)
-
-    def _eval(self, expr, thread, frame, uses):
-        """Evaluate ``expr``; read locations are appended to ``uses``."""
-        if isinstance(expr, ast.Const):
-            return expr.value
-        if isinstance(expr, ast.Null):
-            return NULL
-        if isinstance(expr, ast.Var):
-            name = expr.name
-            if name in frame.locals:
-                uses.append(local_loc(thread.name, frame.uid, name))
-                return frame.locals[name]
-            if name in self.globals:
-                uses.append(global_loc(name))
-                return self.globals[name]
-            raise InterpreterError(
-                "undefined variable %r in %s" % (name, frame.func))
-        if isinstance(expr, ast.Bin):
-            left = self._eval(expr.left, thread, frame, uses)
-            right = self._eval(expr.right, thread, frame, uses)
-            return self._apply_bin(expr.op, left, right)
-        if isinstance(expr, ast.Un):
-            operand = self._eval(expr.operand, thread, frame, uses)
-            if expr.op == "not":
-                return not self._truthy(operand)
-            if expr.op == "-":
-                return -operand
-            raise InterpreterError("unknown unary op %r" % expr.op)
-        if isinstance(expr, ast.Field):
-            base = self._eval(expr.base, thread, frame, uses)
-            obj = self.heap.deref(base, thread=thread.name)
-            if not isinstance(obj, HeapStruct):
-                raise InterpreterError("field access on non-struct %r" % (obj,))
-            uses.append(heap_loc(base.obj_id, expr.name))
-            return obj.get(expr.name)
-        if isinstance(expr, ast.Index):
-            base = self._eval(expr.base, thread, frame, uses)
-            idx = self._eval(expr.index, thread, frame, uses)
-            obj = self.heap.deref(base, thread=thread.name)
-            if not isinstance(obj, HeapArray):
-                raise InterpreterError("index access on non-array %r" % (obj,))
-            value = obj.get(idx, thread=thread.name)
-            uses.append(heap_loc(base.obj_id, idx))
-            return value
-        if isinstance(expr, ast.AllocStruct):
-            fields = {}
-            for name, sub in expr.fields:
-                fields[name] = self._eval(sub, thread, frame, uses)
-            return self.heap.alloc_struct(fields)
-        if isinstance(expr, ast.AllocArray):
-            if expr.elements is not None:
-                elements = [self._eval(e, thread, frame, uses)
-                            for e in expr.elements]
-            else:
-                size = self._eval(expr.size, thread, frame, uses)
-                fill = self._eval(expr.fill, thread, frame, uses)
-                if not isinstance(size, int) or size < 0:
-                    raise InterpreterError("bad array size %r" % (size,))
-                elements = [fill] * size
-            return self.heap.alloc_array(elements)
-        raise InterpreterError("cannot evaluate %r" % (expr,))
-
-    def _apply_bin(self, op, left, right):
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        if op == "/":
-            if right == 0:
-                raise DivisionByZero("division by zero")
-            return left // right if isinstance(left, int) else left / right
-        if op == "%":
-            if right == 0:
-                raise DivisionByZero("modulo by zero")
-            return left % right
-        if op == "<":
-            return left < right
-        if op == "<=":
-            return left <= right
-        if op == ">":
-            return left > right
-        if op == ">=":
-            return left >= right
-        if op == "==":
-            return left == right
-        if op == "!=":
-            return left != right
-        if op == "and":
-            return self._truthy(left) and self._truthy(right)
-        if op == "or":
-            return self._truthy(left) or self._truthy(right)
-        raise InterpreterError("unknown binary op %r" % op)
-
-    def _assign_into(self, target, value, thread, frame, uses, defs):
-        """Store ``value`` at lvalue ``target`` within ``frame``."""
-        if isinstance(target, ast.Var):
-            name = target.name
-            if name in frame.locals:
-                frame.locals[name] = value
-                defs.append(local_loc(thread.name, frame.uid, name))
-            elif name in self.globals:
-                self.globals[name] = value
-                defs.append(global_loc(name))
-            else:
-                frame.locals[name] = value
-                defs.append(local_loc(thread.name, frame.uid, name))
-            return
-        if isinstance(target, ast.Field):
-            base = self._eval(target.base, thread, frame, uses)
-            obj = self.heap.deref(base, thread=thread.name)
-            if not isinstance(obj, HeapStruct):
-                raise InterpreterError("field store on non-struct %r" % (obj,))
-            obj.set(target.name, value)
-            defs.append(heap_loc(base.obj_id, target.name))
-            return
-        if isinstance(target, ast.Index):
-            base = self._eval(target.base, thread, frame, uses)
-            idx = self._eval(target.index, thread, frame, uses)
-            obj = self.heap.deref(base, thread=thread.name)
-            if not isinstance(obj, HeapArray):
-                raise InterpreterError("index store on non-array %r" % (obj,))
-            obj.set(idx, value, thread=thread.name)
-            defs.append(heap_loc(base.obj_id, idx))
-            return
-        raise InterpreterError("bad assignment target %r" % (target,))
+    def evaluate(self, expr, thread_name):
+        """Value of ``expr`` in ``thread_name``'s current frame, read-only:
+        nothing is recorded, allocation faults, faults propagate."""
+        thread = self.threads[thread_name]
+        code = compile_expr(expr, track=False, alloc=False)
+        return code(self, thread, thread.current_frame, None)
 
     # -- region stack maintenance (EI rules 3 & 4) -----------------------------
 
     def _pop_regions(self, frame, pc):
         """EI rule 4: pop regions whose immediate post-dominator is ``pc``."""
-        popped_loops = set()
         stack = frame.region_stack
+        if not stack or stack[-1].exit_pc != pc:
+            return
+        popped_loops = set()
         while stack and stack[-1].exit_pc == pc:
             entry = stack.pop()
             if entry.loop_id is not None:
@@ -355,22 +219,19 @@ class Execution:
 
     # -- scheduling predicates ---------------------------------------------
 
-    def thread_runnable(self, thread):
-        """READY and not blocked on a lock held by another thread."""
-        if thread.status is not ThreadStatus.READY:
-            return False
-        instr = self._instrs[thread.pc]
-        if instr.op is Opcode.ACQUIRE:
-            # shared predicate with the waits-for builder: held-by-self
-            # still runs (and faults as a re-acquire) rather than blocks
-            return self.locks.is_free_for(instr.lock, thread.name)
-        return True
-
     def runnable_threads(self):
-        """Names of runnable threads, in canonical program order."""
-        threads = self.threads
-        return [name for name in self._thread_order
-                if self.thread_runnable(threads[name])]
+        """READY threads not parked at an acquire of a lock another thread
+        holds (a self-held one runs and faults), in program order."""
+        threads, acquire_locks = self.threads, self.acquire_locks
+        is_free_for = self.locks.is_free_for
+        runnable = []
+        for name in self._thread_order:
+            thread = threads[name]
+            if thread.status is ThreadStatus.READY:
+                lock = acquire_locks[thread.frames[-1].pc]
+                if lock is None or is_free_for(lock, name):
+                    runnable.append(name)
+        return runnable
 
     def live_threads(self):
         return [t.name for t in self.threads.values() if t.is_live()]
@@ -386,18 +247,17 @@ class Execution:
         thread = self.threads[thread_name]
         if thread.status is not ThreadStatus.READY:
             raise InterpreterError("stepping non-ready thread %s" % thread_name)
-        frame = thread.current_frame
+        frame = thread.frames[-1]
         pc = frame.pc
         self._pop_regions(frame, pc)
-        instr = self._instrs[pc]
         effects = StepEffects(thread=thread_name, step=self.step_count,
-                              pc=pc, op=instr.op)
+                              pc=pc, op=self._instrs[pc].op)
         if thread.started_at is None:
             thread.started_at = self.step_count
         top = frame.top_region()
         effects.dynamic_cd_step = top.step if top is not None else frame.call_step
         try:
-            self._execute(instr, thread, frame, effects)
+            self._traced[pc](self, thread, frame, effects)
         except RuntimeFault as fault:
             self.failure = Failure(kind=fault.kind, pc=pc, thread=thread_name,
                                    message=fault.message)
@@ -419,9 +279,9 @@ class Execution:
         pending scheduler switch, the ``max_steps`` budget, or after
         ``limit`` steps (used by the replay engine to stop at checkpoint
         steps).  Returns one batched :class:`StepEffects` summary whose
-        ``batch`` field counts the executed instructions; ``uses`` /
-        ``defs`` are scratch state with no consumers on this path and
-        are cleared per block.
+        ``batch`` field counts the executed instructions.  Steps run the
+        untracked closures, so ``uses`` / ``defs`` stay empty: nothing on
+        this path consumes them.
 
         ``commit`` is the scheduler's ``block_commit`` (or None for
         block-granular schedulers): it pre-draws the scheduler's
@@ -429,26 +289,20 @@ class Execution:
         byte-identical to instruction mode.
         """
         thread = self.threads[thread_name]
-        blocks = self.blocks
-        spans = blocks.span
-        region_work = blocks.region_work
-        instrs = self._instrs
-        dispatch = self._DISPATCH
-        max_steps = self.max_steps
-        effects = StepEffects(thread=thread_name, step=self.step_count,
-                              pc=thread.pc, op=None)
-        uses, defs = effects.uses, effects.defs
+        frames = thread.frames
+        spans, region_work = self.blocks.span, self.blocks.region_work
+        code, acquire_locks = self._fast, self.acquire_locks
+        start = self.step_count
+        stop_at = self.max_steps if limit is None \
+            else min(self.max_steps, start + limit)
+        effects = StepEffects(thread=thread_name, step=start,
+                              pc=frames[-1].pc, op=None)
         if thread.started_at is None:
-            thread.started_at = self.step_count
+            thread.started_at = start
         first = True
-        executed = 0
         while True:
-            frame = thread.current_frame
-            pc = frame.pc
-            count = spans[pc]
-            remaining = max_steps - self.step_count
-            if limit is not None and remaining > limit - executed:
-                remaining = limit - executed
+            count = spans[frames[-1].pc]
+            remaining = stop_at - self.step_count
             if remaining >= 1:
                 if count > remaining:
                     count = remaining
@@ -464,18 +318,15 @@ class Execution:
                 count = committed
                 if count == 0:
                     break
-            del uses[:], defs[:]
+            n = 0
             try:
-                n = 0
                 while n < count:
-                    frame = thread.current_frame
+                    frame = frames[-1]
                     pc = frame.pc
                     if region_work[pc]:
                         self._pop_regions(frame, pc)
-                    instr = instrs[pc]
-                    dispatch[instr.op](self, instr, thread, frame, effects)
+                    code[pc](self, thread, frame, effects)
                     self.step_count += 1
-                    thread.instr_count += 1
                     n += 1
             except RuntimeFault as fault:
                 self.failure = Failure(kind=fault.kind, pc=pc,
@@ -484,23 +335,19 @@ class Execution:
                 self.status = ExecutionStatus.FAILED
                 thread.status = ThreadStatus.FAILED
                 self.step_count += 1
-                thread.instr_count += 1
-                executed += n + 1
+                thread.instr_count += n + 1
                 break
-            executed += n
+            thread.instr_count += n
             first = False
             if effects.sync is not None:
                 break  # the observer must see the sync before the next pick
-            if (self.status != ExecutionStatus.RUNNING
-                    or thread.status is not ThreadStatus.READY):
-                break
-            if pending or self.step_count >= max_steps:
-                break
-            if limit is not None and executed >= limit:
-                break
-            if instrs[thread.pc].op is Opcode.ACQUIRE:
+            if thread.status is not ThreadStatus.READY:
+                break  # thread exit (a failure already left the loop)
+            if pending or self.step_count >= stop_at:
+                break  # scheduler switch, step budget, or caller's limit
+            if acquire_locks[frames[-1].pc] is not None:
                 break  # pre-acquire pick point (may block or redirect)
-        effects.batch = executed
+        effects.batch = self.step_count - start
         return effects
 
     def _run_blocks(self, commit):
@@ -550,106 +397,6 @@ class Execution:
             return False
         return (getattr(self.scheduler, "block_granular", False)
                 or getattr(self.scheduler, "block_commit", None) is not None)
-
-    def _execute(self, instr, thread, frame, effects):
-        handler = self._DISPATCH.get(instr.op)
-        if handler is None:
-            raise InterpreterError("unknown opcode %r" % (instr.op,))
-        handler(self, instr, thread, frame, effects)
-
-    def _exec_assign(self, instr, thread, frame, effects):
-        value = self._eval(instr.expr, thread, frame, effects.uses)
-        self._assign_into(instr.target, value, thread, frame,
-                          effects.uses, effects.defs)
-        frame.pc += 1
-
-    def _exec_branch(self, instr, thread, frame, effects):
-        value = self._eval(instr.cond, thread, frame, effects.uses)
-        outcome = self._truthy(value)
-        effects.branch_outcome = outcome
-        exit_pc = self.analysis.region_exit(instr.pc)
-        frame.region_stack.append(RegionEntry(
-            pred_pc=instr.pc, outcome=outcome, exit_pc=exit_pc,
-            step=self.step_count,
-            loop_id=instr.loop_id if instr.is_loop else None))
-        if instr.is_loop and outcome and instr.counter_var is None \
-                and self.instrument_loops:
-            counters = frame.loop_counters
-            counters[instr.loop_id] = counters.get(instr.loop_id, 0) + 1
-        frame.pc = instr.t_target if outcome else instr.f_target
-
-    def _exec_jump(self, instr, thread, frame, effects):
-        frame.pc = instr.jump_target
-
-    def _exec_nop(self, instr, thread, frame, effects):
-        frame.pc += 1
-
-    def _exec_call(self, instr, thread, frame, effects):
-        args = [self._eval(a, thread, frame, effects.uses)
-                for a in instr.args]
-        fc = self.compiled.func_code(instr.callee)
-        if len(args) != len(fc.params):
-            raise InterpreterError(
-                "call %s: %d args for %d params"
-                % (instr.callee, len(args), len(fc.params)))
-        new_frame = self._new_frame(
-            instr.callee, zip(fc.params, args), ret_target=instr.target,
-            return_to=instr.pc + 1, call_step=self.step_count)
-        thread.frames.append(new_frame)
-        effects.call = instr.callee
-        effects.entered_frame = True
-
-    def _exec_return(self, instr, thread, frame, effects):
-        value = None
-        if instr.expr is not None:
-            value = self._eval(instr.expr, thread, frame, effects.uses)
-        popped = thread.frames.pop()
-        effects.ret_from = popped.func
-        if thread.frames:
-            caller = thread.current_frame
-            caller.pc = popped.return_to
-            if popped.ret_target is not None:
-                self._assign_into(popped.ret_target, value, thread, caller,
-                                  effects.uses, effects.defs)
-        else:
-            thread.status = ThreadStatus.DONE
-
-    def _exec_acquire(self, instr, thread, frame, effects):
-        self.locks.acquire(instr.lock, thread.name, pc=instr.pc)
-        effects.sync = ("acquire", instr.lock)
-        frame.pc += 1
-
-    def _exec_release(self, instr, thread, frame, effects):
-        self.locks.release(instr.lock, thread.name, pc=instr.pc)
-        effects.sync = ("release", instr.lock)
-        frame.pc += 1
-
-    def _exec_assert(self, instr, thread, frame, effects):
-        value = self._eval(instr.cond, thread, frame, effects.uses)
-        if not self._truthy(value):
-            raise AssertionFault(instr.message, pc=instr.pc,
-                                 thread=thread.name)
-        frame.pc += 1
-
-    def _exec_output(self, instr, thread, frame, effects):
-        value = self._eval(instr.expr, thread, frame, effects.uses)
-        self.output.append((thread.name, value))
-        effects.output_value = value
-        frame.pc += 1
-
-    #: opcode -> unbound handler; resolved once at class-definition time
-    _DISPATCH = {
-        Opcode.ASSIGN: _exec_assign,
-        Opcode.BRANCH: _exec_branch,
-        Opcode.JUMP: _exec_jump,
-        Opcode.NOP: _exec_nop,
-        Opcode.CALL: _exec_call,
-        Opcode.RETURN: _exec_return,
-        Opcode.ACQUIRE: _exec_acquire,
-        Opcode.RELEASE: _exec_release,
-        Opcode.ASSERT: _exec_assert,
-        Opcode.OUTPUT: _exec_output,
-    }
 
     # -- the run loop ----------------------------------------------------------
 

@@ -18,7 +18,6 @@ exists among its blocked threads, inherits that cycle as its signature
 (threads outside the cycle were merely burning the remaining budget).
 """
 
-from ..lang.lower import Opcode
 from .events import Failure
 from .frames import ThreadStatus
 
@@ -33,16 +32,15 @@ def blocked_edges(execution):
     """
     edges = []
     locks = execution.locks
+    runnable = execution.runnable_threads()
     for name in execution._thread_order:
         thread = execution.threads[name]
-        if thread.status is not ThreadStatus.READY:
+        if thread.status is not ThreadStatus.READY or name in runnable:
             continue
-        if execution.thread_runnable(thread):
-            continue
-        instr = execution._instrs[thread.pc]
-        assert instr.op is Opcode.ACQUIRE, \
+        lock = execution.acquire_locks[thread.pc]
+        assert lock is not None, \
             "non-runnable READY thread %s not parked at an acquire" % name
-        edges.append((name, instr.lock, locks.owner(instr.lock), thread.pc))
+        edges.append((name, lock, locks.owner(lock), thread.pc))
     return edges
 
 

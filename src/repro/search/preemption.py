@@ -21,7 +21,6 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..lang.lower import Opcode
 
 #: Weight contribution of a candidate whose block has no prioritized CSV
 #: access (the paper's ⊥): effectively last in the worklist.
@@ -319,6 +318,8 @@ class PreemptingScheduler:
             if forced in runnable:
                 return forced
         choice = self.current if self.current in runnable else runnable[0]
+        if not self.pending:
+            return choice  # nothing left to fire: the deterministic pick
         for _ in range(len(self.pending) + 1):
             redirected = self._check_pre_step_preemption(
                 execution, choice, runnable)
@@ -335,17 +336,15 @@ class PreemptingScheduler:
                 if item.switch_to in runnable and item.switch_to != choice:
                     return item.switch_to
                 return None
-        thread = execution.threads[choice]
-        if thread.pc is not None:
-            instr = execution.compiled.instr(thread.pc)
-            if instr.op is Opcode.ACQUIRE:
-                occurrence = self.counters.get(
-                    (choice, "acquire", instr.lock), 0)
-                item = self._match(choice, "acquire", instr.lock, occurrence)
-                if item is not None:
-                    self.fired.append(item)
-                    if item.switch_to in runnable and item.switch_to != choice:
-                        return item.switch_to
+        # ``choice`` is runnable, so it has a current frame
+        lock = execution.acquire_locks[execution.threads[choice].frames[-1].pc]
+        if lock is not None:
+            occurrence = self.counters.get((choice, "acquire", lock), 0)
+            item = self._match(choice, "acquire", lock, occurrence)
+            if item is not None:
+                self.fired.append(item)
+                if item.switch_to in runnable and item.switch_to != choice:
+                    return item.switch_to
         return None
 
     def observe(self, execution, effects):
