@@ -135,6 +135,10 @@ class BlockTable:
     #: region bookkeeping may fire at this pc (a BRANCH, or some
     #: branch's region-exit point)
     region_work: list
+    #: ``span`` of the coarser partition bounded only by control
+    #: transfers and sync instructions, for chains of schedulers that
+    #: never switch at a mere shared access
+    chain_span: list = field(default_factory=list)
     #: total number of blocks
     n_blocks: int = 0
     #: head pcs in ascending order (diagnostics and tests)
@@ -163,12 +167,13 @@ def compute_block_table(compiled, analysis):
     instrs = compiled.instrs
     n = len(instrs)
     leader = [False] * n
+    chain_leader = [False] * n  # leaders of the ``chain_span`` partition
     relevant = [False] * n
     global_names = frozenset(compiled.program.globals)
 
     for fc in compiled.functions.values():
         if fc.entry_pc < fc.end_pc:
-            leader[fc.entry_pc] = True
+            leader[fc.entry_pc] = chain_leader[fc.entry_pc] = True
         for pc in fc.pcs():
             instr = instrs[pc]
             op = instr.op
@@ -176,22 +181,25 @@ def compute_block_table(compiled, analysis):
                 # the block ends here: the successor (and any explicit
                 # target) leads a new one
                 if pc + 1 < fc.end_pc:
-                    leader[pc + 1] = True
+                    leader[pc + 1] = chain_leader[pc + 1] = True
                 for target in (instr.t_target, instr.f_target,
                                instr.jump_target):
                     if target is not None and target >= 0:
-                        leader[target] = True
+                        leader[target] = chain_leader[target] = True
             if instr_may_touch_shared(instr, global_names):
                 relevant[pc] = True
-                leader[pc] = True
-                if pc + 1 < fc.end_pc:
-                    leader[pc + 1] = True
+                sync = op in (Opcode.ACQUIRE, Opcode.RELEASE)
+                for leads in (leader, chain_leader) if sync else (leader,):
+                    leads[pc] = True
+                    if pc + 1 < fc.end_pc:
+                        leads[pc + 1] = True
 
-    span = [1] * n
-    for fc in compiled.functions.values():
-        for pc in range(fc.end_pc - 2, fc.entry_pc - 1, -1):
-            if not leader[pc + 1]:
-                span[pc] = span[pc + 1] + 1
+    span, chain_span = ([1] * n, [1] * n)
+    for spans, leads in ((span, leader), (chain_span, chain_leader)):
+        for fc in compiled.functions.values():
+            for pc in range(fc.end_pc - 2, fc.entry_pc - 1, -1):
+                if not leads[pc + 1]:
+                    spans[pc] = spans[pc + 1] + 1
 
     # region bookkeeping: BRANCH pushes; pops fire only at pcs that are
     # some branch's region exit (negative virtual exits never match a
@@ -207,8 +215,8 @@ def compute_block_table(compiled, analysis):
 
     heads = [pc for pc in range(n) if leader[pc]]
     return BlockTable(span=span, head=leader, relevant=relevant,
-                      region_work=region_work, n_blocks=len(heads),
-                      heads=heads)
+                      region_work=region_work, chain_span=chain_span,
+                      n_blocks=len(heads), heads=heads)
 
 
 def block_table_for(compiled, analysis):

@@ -7,8 +7,8 @@ AST nodes and compiled instructions are shared (immutable by
 convention).
 """
 
-import sys
 from dataclasses import dataclass
+from sys import getsizeof
 
 from .frames import Frame, RegionEntry, ThreadState
 from .heap import Heap, HeapArray, HeapStruct
@@ -84,40 +84,36 @@ def take_checkpoint(execution, scheduler_state=None):
     )
 
 
-def _deep_nbytes(obj, seen):
-    """Recursive ``sys.getsizeof`` over the checkpoint's object graph."""
-    oid = id(obj)
-    if oid in seen:
-        return 0
-    seen.add(oid)
-    size = sys.getsizeof(obj)
-    if isinstance(obj, dict):
-        for key, value in obj.items():
-            size += _deep_nbytes(key, seen)
-            size += _deep_nbytes(value, seen)
-    elif isinstance(obj, (list, tuple, set, frozenset)):
-        for item in obj:
-            size += _deep_nbytes(item, seen)
-    else:
-        if hasattr(obj, "__dict__"):
-            size += _deep_nbytes(vars(obj), seen)
-        # slotted objects (HeapStruct/HeapArray) have no __dict__; their
-        # payload is behind __slots__ and dominates heap checkpoints
-        for cls in type(obj).__mro__:
-            for slot in getattr(cls, "__slots__", ()):
-                if hasattr(obj, slot):
-                    size += _deep_nbytes(getattr(obj, slot), seen)
-    return size
+#: fixed cost of one copied dataclass instance (object + attribute dict)
+_OBJECT_NBYTES = (getsizeof(RegionEntry(0, False, 0, 0))
+                  + getsizeof(vars(RegionEntry(0, False, 0, 0))))
+#: fixed cost of one copied (slotted) heap object
+_HEAP_OBJECT_NBYTES = getsizeof(HeapArray(()))
 
 
 def checkpoint_nbytes(checkpoint):
     """Approximate in-memory footprint of ``checkpoint``.
 
-    Used by the replay engine's cache to enforce its byte budget; an
-    estimate (shared immutable AST/instruction objects are counted once
-    per checkpoint at most), but proportional to the real cost.
+    Used by the replay engine's cache to enforce its byte budget.  Counts
+    what the copy allocates: every dict and list payload plus a fixed
+    cost per copied object.  The values in those containers are
+    references shared with the live run (ints, strings, pointers), so
+    they are not walked.
     """
-    return _deep_nbytes(checkpoint, set())
+    objects = checkpoint.heap._objects
+    size = 2 * _OBJECT_NBYTES + sum(map(getsizeof, (  # checkpoint, heap
+        checkpoint.globals, objects, checkpoint.lock_owner,
+        checkpoint.threads, checkpoint.output)))
+    for obj in objects.values():
+        size += _HEAP_OBJECT_NBYTES + getsizeof(
+            obj.fields if isinstance(obj, HeapStruct) else obj.elements)
+    for thread in checkpoint.threads.values():
+        size += _OBJECT_NBYTES + getsizeof(thread.frames)
+        for frame in thread.frames:
+            size += (_OBJECT_NBYTES * (1 + len(frame.region_stack))
+                     + getsizeof(frame.locals) + getsizeof(frame.region_stack)
+                     + getsizeof(frame.loop_counters))
+    return size
 
 
 def restore_checkpoint(execution, checkpoint):

@@ -261,6 +261,7 @@ def _compile_instr(instr, compiled, analysis, track, ret_stores):
         def run(ex, th, fr, eff):
             method(ex.locks, lock, th.name, pc=pc)
             eff.sync = sync
+            eff.syncs += (sync,)
             fr.pc = nxt
     elif op is Opcode.ASSERT:
         cond, message = compile_expr(instr.cond, track), instr.message

@@ -50,8 +50,12 @@ class StepEffects:
     #: branch instance, or the CALL that created this frame), or None for
     #: thread entry.
     dynamic_cd_step: Optional[int] = None
-    #: ("acquire"|"release", lock) for sync instructions
+    #: ("acquire"|"release", lock) for sync instructions (on a chain
+    #: summary, the last one)
     sync: Optional[tuple] = None
+    #: every sync performed, in order: at most one per instruction, one
+    #: or more when a settled block chain ran through sync points
+    syncs: tuple = ()
     #: callee name for CALL, returning-from name for RETURN
     call: Optional[str] = None
     ret_from: Optional[str] = None

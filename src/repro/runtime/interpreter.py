@@ -34,13 +34,19 @@ fire.  Chains break exactly at the points where a scheduler's
 instruction-mode decision could differ from "continue the same thread":
 before an ``ACQUIRE`` (the pick may block or redirect), immediately
 after any sync instruction (the observer must see it before the next
-pick), on thread exit or failure, and at the step budget.  Schedulers
-participate through two optional attributes:
+pick), on thread exit or failure, and at the step budget.  A thread
+the scheduler reports *settled* runs through sync points (the observer
+gets them in order) and breaks before an ``ACQUIRE`` only when another
+thread holds the lock.  Schedulers participate through optional
+attributes:
 
 ``block_granular = True``
     The scheduler's per-instruction picks provably return the running
     thread at every non-boundary point (deterministic and preempting
     schedulers), so a chain may run to the next boundary outright.
+``settled(thread)``
+    Every pick would keep choosing ``thread`` until it blocks or exits,
+    and observing would only count its syncs.
 ``block_commit(execution, runnable, thread, span, first)``
     The scheduler commits to a number of consecutive steps of
     ``thread``, drawing its per-instruction decisions eagerly (the
@@ -269,7 +275,8 @@ class Execution:
 
     # -- block execution (the macro-step path) -------------------------------
 
-    def run_chain(self, thread_name, runnable, commit=None, limit=None):
+    def run_chain(self, thread_name, runnable, commit=None, limit=None,
+                  settled=False):
         """Execute one scheduler-atomic chain of ``thread_name``'s blocks.
 
         Runs superblocks back to back under a single scheduler pick,
@@ -278,19 +285,23 @@ class Execution:
         processes it before the next pick), on failure, thread exit, a
         pending scheduler switch, the ``max_steps`` budget, or after
         ``limit`` steps (used by the replay engine to stop at checkpoint
-        steps).  Returns one batched :class:`StepEffects` summary whose
-        ``batch`` field counts the executed instructions.  Steps run the
-        untracked closures, so ``uses`` / ``defs`` stay empty: nothing on
-        this path consumes them.
+        steps).  A ``settled`` thread runs on through sync points and
+        breaks before an ``ACQUIRE`` only when another thread holds the
+        lock.  Returns one batched :class:`StepEffects` summary whose
+        ``batch`` counts the executed instructions and ``syncs`` lists
+        the syncs in order.  Steps run the untracked closures, so
+        ``uses`` / ``defs`` stay empty: nothing on this path consumes
+        them.
 
-        ``commit`` is the scheduler's ``block_commit`` (or None for
-        block-granular schedulers): it pre-draws the scheduler's
-        per-instruction decisions over each block so interleavings stay
-        byte-identical to instruction mode.
+        ``commit`` is the scheduler's ``block_commit``: it pre-draws the
+        scheduler's per-instruction decisions over each block so
+        interleavings stay byte-identical to instruction mode.  Without
+        one (block-granular schedulers) blocks run on ``chain_span``.
         """
         thread = self.threads[thread_name]
         frames = thread.frames
-        spans, region_work = self.blocks.span, self.blocks.region_work
+        spans = self.blocks.span if commit else self.blocks.chain_span
+        region_work = self.blocks.region_work
         code, acquire_locks = self._fast, self.acquire_locks
         start = self.step_count
         stop_at = self.max_steps if limit is None \
@@ -302,14 +313,10 @@ class Execution:
         first = True
         while True:
             count = spans[frames[-1].pc]
-            remaining = stop_at - self.step_count
-            if remaining >= 1:
-                if count > remaining:
-                    count = remaining
-            else:
-                # exhausted budget: mirror the instruction loop, which
-                # always executes one step before its max-steps check
-                count = 1
+            if self.step_count + count > stop_at:
+                # an exhausted budget still runs one step, mirroring the
+                # instruction loop's step-then-check order
+                count = max(stop_at - self.step_count, 1)
             pending = False
             if commit is not None and (count > 1 or not first):
                 self.sched_commits += 1
@@ -318,16 +325,15 @@ class Execution:
                 count = committed
                 if count == 0:
                     break
-            n = 0
+            end = self.step_count + count
             try:
-                while n < count:
+                while self.step_count < end:
                     frame = frames[-1]
                     pc = frame.pc
                     if region_work[pc]:
                         self._pop_regions(frame, pc)
                     code[pc](self, thread, frame, effects)
                     self.step_count += 1
-                    n += 1
             except RuntimeFault as fault:
                 self.failure = Failure(kind=fault.kind, pc=pc,
                                        thread=thread_name,
@@ -335,25 +341,27 @@ class Execution:
                 self.status = ExecutionStatus.FAILED
                 thread.status = ThreadStatus.FAILED
                 self.step_count += 1
-                thread.instr_count += n + 1
                 break
-            thread.instr_count += n
             first = False
-            if effects.sync is not None:
+            if not settled and effects.sync is not None:
                 break  # the observer must see the sync before the next pick
             if thread.status is not ThreadStatus.READY:
                 break  # thread exit (a failure already left the loop)
             if pending or self.step_count >= stop_at:
                 break  # scheduler switch, step budget, or caller's limit
-            if acquire_locks[frames[-1].pc] is not None:
+            lock = acquire_locks[frames[-1].pc]
+            if lock is not None and not (
+                    settled and self.locks.is_free_for(lock, thread_name)):
                 break  # pre-acquire pick point (may block or redirect)
         effects.batch = self.step_count - start
+        thread.instr_count += effects.batch
         return effects
 
     def _run_blocks(self, commit):
         """The block-granularity run loop (one pick per chain)."""
         scheduler = self.scheduler
         observe = getattr(scheduler, "observe", None)
+        settled = getattr(scheduler, "settled", None)
         pick = scheduler.pick
         try:
             while self.status == ExecutionStatus.RUNNING:
@@ -370,7 +378,9 @@ class Execution:
                 if name not in runnable:
                     raise InterpreterError(
                         "scheduler picked non-runnable thread %r" % (name,))
-                effects = self.run_chain(name, runnable, commit)
+                effects = self.run_chain(
+                    name, runnable, commit,
+                    settled=settled is not None and settled(name))
                 if observe is not None:
                     observe(self, effects)
                 if self.failure is not None:

@@ -25,7 +25,10 @@ per-instruction pick provably returns the running thread at every
 non-boundary point, so a whole chain of superblocks may run on one pick
 — true for :class:`DeterministicScheduler` (non-preemptive by
 definition) and the search layer's preempting scheduler (it only ever
-redirects at sync points).  :class:`MulticoreScheduler` may switch
+redirects at sync points).  Their ``settled(thread)`` is true when every
+pick would keep choosing ``thread`` until it blocks or exits; its chain
+then runs through sync points, breaking only before an ``ACQUIRE`` of a
+lock another thread holds.  :class:`MulticoreScheduler` may switch
 anywhere, so it instead implements ``block_commit``: it pre-draws its
 per-instruction RNG decisions over a block and commits to a burst,
 keeping the interleaving byte-identical to instruction mode while the
@@ -53,6 +56,10 @@ class DeterministicScheduler:
         if self.current in runnable:
             return self.current
         return runnable[0]
+
+    def settled(self, thread):
+        """Non-preemptive: the running thread keeps every pick."""
+        return True
 
     def observe(self, execution, effects):
         self.current = effects.thread

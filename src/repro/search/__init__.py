@@ -25,7 +25,6 @@ from .preemption import (
     PreemptingScheduler,
     PreemptionCandidate,
     enumerate_candidates,
-    future_csvs_at,
 )
 from .replay import (
     CheckpointCache,
@@ -61,7 +60,6 @@ __all__ = [
     "PreemptingScheduler",
     "PreemptionCandidate",
     "enumerate_candidates",
-    "future_csvs_at",
     "CheckpointCache",
     "ReplayEngine",
     "SchedulerPrefixState",

@@ -227,14 +227,16 @@ def _install_signal_shutdown():
     if threading.current_thread() is not threading.main_thread():
         return
 
+    installer = os.getpid()
+
     def _chained(previous):
         def handler(signum, frame):
-            # forked pool workers inherit this handler; inside one, the
-            # copied executor state must not be touched (terminating
-            # "its" workers would signal siblings and can deadlock the
-            # worker instead of letting it die) — restore the default
-            # disposition and re-deliver
-            if not in_worker():
+            # forked pool workers inherit this handler, possibly before
+            # their initializer runs; outside the installing process the
+            # copied executor state must not be touched (shutting "its"
+            # pool down blocks the worker instead of letting it die) —
+            # restore the default disposition and re-deliver
+            if os.getpid() == installer:
                 shutdown_shared_pool(kill=True)
                 if callable(previous):
                     previous(signum, frame)

@@ -201,21 +201,6 @@ def map_candidates_to_block_heads(candidates, blocks):
     return mapped
 
 
-def future_csvs_at(events, csv_locs, thread, step):
-    """CSV locations ``thread`` accesses at or after ``step`` (passing run)."""
-    future = set()
-    for event in events:
-        if event.thread != thread or event.step < step:
-            continue
-        for loc in event.uses:
-            if loc in csv_locs:
-                future.add(loc)
-        for loc in event.defs:
-            if loc in csv_locs:
-                future.add(loc)
-    return frozenset(future)
-
-
 @dataclass
 class PlannedPreemption:
     """One preemption to apply in a testrun: fire point + thread to run."""
@@ -252,7 +237,10 @@ class PreemptingScheduler:
     post-release force — is a superblock boundary, so it is
     ``block_granular``: the interpreter may run whole block chains per
     pick and every planned preemption still fires exactly where
-    instruction-granularity execution would fire it.
+    instruction-granularity execution would fire it.  Only the running
+    thread's own plan items are ever matched, so a thread no pending
+    item names is :meth:`settled` (unless a switch is forced): its chain
+    runs through sync points, which :meth:`observe` then counts in order.
     """
 
     block_granular = True
@@ -347,18 +335,22 @@ class PreemptingScheduler:
                     return item.switch_to
         return None
 
+    def settled(self, thread):
+        """No switch is forced and no pending item names ``thread``."""
+        return self.forced_next is None and all(
+            item.thread != thread for item in self.pending)
+
     def observe(self, execution, effects):
-        self.current = effects.thread
-        self.started.add(effects.thread)
-        if effects.sync is not None:
-            kind, lock = effects.sync
-            key = (effects.thread, kind, lock)
+        thread = effects.thread
+        self.current = thread
+        self.started.add(thread)
+        for kind, lock in effects.syncs:
+            key = (thread, kind, lock)
             occurrence = self.counters.get(key, 0)
             self.counters[key] = occurrence + 1
             if kind == "release":
-                item = self._match(effects.thread, "release", lock, occurrence)
+                item = self._match(thread, "release", lock, occurrence)
                 if item is not None:
                     self.fired.append(item)
-                    if item.switch_to is not None \
-                            and item.switch_to != effects.thread:
+                    if item.switch_to is not None and item.switch_to != thread:
                         self.forced_next = item.switch_to

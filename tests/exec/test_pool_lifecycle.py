@@ -109,3 +109,41 @@ def test_sigterm_shuts_the_pool_down_without_orphans():
     assert _wait_until(
         lambda: all(not _foreign_pid_alive(pid) for pid in pids)), \
         "orphaned pool workers survived SIGTERM"
+
+
+_FORKED_SIGTERM_SCRIPT = r"""
+import os, signal
+from repro.search import parallel
+
+parallel.shared_pool(1)  # installs the chained SIGTERM handler
+parallel.shutdown_shared_pool()
+
+
+def touched(kill=False):
+    os._exit(99)  # the inherited handler reached for the parent's pool
+
+
+parallel.shutdown_shared_pool = touched
+child = os.fork()
+if child == 0:
+    # a freshly forked process that no initializer has marked yet
+    os.kill(os.getpid(), signal.SIGTERM)
+    os._exit(0)
+_, status = os.waitpid(child, 0)
+print("CHILD %s" % (os.WTERMSIG(status) if os.WIFSIGNALED(status)
+                    else "exit %d" % os.WEXITSTATUS(status)), flush=True)
+"""
+
+
+def test_forked_child_does_not_run_the_pool_shutdown_on_sigterm():
+    repo_root = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir)
+    env = dict(os.environ,
+               PYTHONPATH=os.path.join(os.path.abspath(repo_root), "src"))
+    env.pop("REPRO_POOL_WORKER", None)
+    proc = subprocess.run([sys.executable, "-c", _FORKED_SIGTERM_SCRIPT],
+                          capture_output=True, text=True, timeout=60,
+                          env=env)
+    assert proc.returncode == 0, (proc.stdout, proc.stderr)
+    # only the installing process shuts the pool down; any other process
+    # dies of the signal under the default disposition
+    assert "CHILD %d" % signal.SIGTERM in proc.stdout, proc.stdout

@@ -61,6 +61,29 @@ def test_control_transfers_end_blocks(fig1_table):
                 assert table.is_head(target), (pc, target)
 
 
+def test_chain_spans_break_only_at_sync_and_control_transfers():
+    """The coarser chain partition steps over shared accesses, asserts
+    and outputs, but never over a sync instruction or a control
+    transfer, and never runs past a function's end."""
+    syncs = (Opcode.ACQUIRE, Opcode.RELEASE)
+    stops = syncs + (Opcode.BRANCH, Opcode.JUMP, Opcode.CALL, Opcode.RETURN)
+    coarser = 0
+    for scenario in all_scenarios():
+        bundle = ProgramBundle(scenario.build())
+        table, instrs = bundle.block_table, bundle.compiled.instrs
+        for fc in bundle.compiled.functions.values():
+            for pc in fc.pcs():
+                span = table.chain_span[pc]
+                assert table.span[pc] <= span <= fc.end_pc - pc
+                run = [instrs[p].op for p in range(pc, pc + span)]
+                assert not any(op in stops for op in run[:-1]), \
+                    (scenario.name, pc)
+                assert not any(op in syncs for op in run[1:]), \
+                    (scenario.name, pc)
+                coarser += span > table.span[pc]
+    assert coarser > 0
+
+
 def test_may_shared_instructions_lead_blocks(fig1_table):
     bundle, table = fig1_table
     global_names = frozenset(bundle.program.globals)
@@ -131,4 +154,5 @@ def test_table_pickles_round_trip(fig1_table):
     assert clone.span == table.span
     assert clone.head == table.head
     assert clone.region_work == table.region_work
+    assert clone.chain_span == table.chain_span
     assert clone.stats() == table.stats()

@@ -245,3 +245,47 @@ class TestReplayEngine:
             engine.resume(PreemptingScheduler([]),
                           [PlannedPreemption.from_candidate(candidate, "T2")])
         assert engine.recording_steps == steps[-1]
+
+
+class TestReplayEngineByteBudget:
+    """The byte budget, fed by the container-level size estimate."""
+
+    def _two_steps(self, fig1):
+        """Two candidate steps and their checkpoints' estimated bytes."""
+        steps = sorted({c.step for c in fig1["candidates"] if c.step > 0})
+        first, last = steps[0], steps[-1]
+        engine = ReplayEngine(_factory(fig1["bundle"]), fig1["candidates"])
+        sizes = [engine._ensure_checkpoint(step).nbytes
+                 for step in (first, last)]
+        return (first, last), sizes
+
+    def _plan(self, fig1, step):
+        candidate = next(c for c in fig1["candidates"] if c.step == step)
+        return [PlannedPreemption.from_candidate(candidate, "T2")]
+
+    def test_budget_below_two_checkpoints_forces_eviction(self, fig1):
+        (first, last), sizes = self._two_steps(fig1)
+        assert all(size > 0 for size in sizes)
+        engine = ReplayEngine(_factory(fig1["bundle"]), fig1["candidates"],
+                              max_bytes=sum(sizes) - 1)
+        for step in (first, last):
+            plan = self._plan(fig1, step)
+            engine.resume(PreemptingScheduler(list(plan)), plan)
+        assert engine.cache.evictions > 0
+        assert engine.cache.total_bytes <= sum(sizes) - 1
+
+    def test_starved_engine_outputs_match_scratch(self, fig1):
+        bundle = fig1["bundle"]
+        (first, last), sizes = self._two_steps(fig1)
+        engine = ReplayEngine(_factory(bundle), fig1["candidates"],
+                              max_bytes=sum(sizes) - 1)
+        for step in (last, first, last, first):
+            plan = self._plan(fig1, step)
+            replayed, skipped = engine.resume(
+                PreemptingScheduler(list(plan)), plan)
+            assert skipped == step
+            replay_result = replayed.run()
+            scratch_result = bundle.execution(
+                PreemptingScheduler(list(plan))).run()
+            assert replay_result == scratch_result
+        assert engine.cache.evictions > 0
