@@ -36,7 +36,7 @@ import pytest
 
 from repro.pipeline import ReproductionConfig
 from repro.runtime.scheduler import MulticoreScheduler
-from repro.search.parallel import default_worker_budget, shared_pool
+from repro.exec.pool import default_worker_budget, shared_pool
 
 from .conftest import print_table, session_for
 

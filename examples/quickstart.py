@@ -15,9 +15,8 @@ runs twice:
    critical shared variables and let the enhanced CHESS search produce
    a failure-inducing schedule.
 
-Migrating from the 1.x API: the old one-shot
-``pipeline.reproduce(bundle)`` still works (deprecated) and equals
-``ReproSession(bundle).report()``.
+``ReproSession(bundle).report()`` runs every stage at once and returns
+the classic report.
 
 Run:  python examples/quickstart.py
 """

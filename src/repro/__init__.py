@@ -30,14 +30,6 @@ Aligners, search strategies, and prioritization heuristics are pluggable
 through the registries in :mod:`repro.registry` — registering a new
 heuristic automatically yields a matching ``chessX+<name>`` strategy.
 
-**Migrating from the 1.x flat API:** ``pipeline.reproduce(bundle, ...)``
-still works as a deprecated shim and returns the same report; replace it
-with a session to gain stage reuse::
-
-    report = pipeline.reproduce(bundle, failure_dump=dump, config=cfg)
-    # becomes
-    report = ReproSession(bundle, cfg, failure_dump=dump).report()
-
 Layers (bottom-up): ``lang`` (mini concurrent language + flat IR),
 ``analysis`` (CFG / post-dominators / control dependence), ``runtime``
 (interpreter, schedulers, checkpoints), ``coredump`` (snapshots,
@@ -56,7 +48,6 @@ from .pipeline import (
     ReproSession,
     ReproductionConfig,
     ReproductionReport,
-    reproduce,
     run_many,
 )
 from .registry import ALIGNERS, HEURISTICS, SEARCH_STRATEGIES
@@ -82,7 +73,6 @@ __all__ = [
     "ReproSession",
     "ReproductionConfig",
     "ReproductionReport",
-    "reproduce",
     "run_many",
     "__version__",
 ]

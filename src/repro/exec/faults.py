@@ -35,6 +35,8 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
+from .pool import in_worker
+
 KILL_WORKER = "kill"
 HANG_WORKER = "hang"
 CORRUPT_RESULT = "corrupt"
@@ -182,11 +184,6 @@ class FaultPlan:
 # worker-side honoring
 # ---------------------------------------------------------------------------
 
-def _in_pool_worker():
-    from ..search.parallel import in_worker
-    return in_worker()
-
-
 def maybe_inject(fault):
     """Honor a kill/hang instruction; a no-op outside pool workers.
 
@@ -194,7 +191,7 @@ def maybe_inject(fault):
     in-worker gate means a quarantined serial re-run of the same
     function in the driver process can never kill or wedge the driver.
     """
-    if fault is None or not _in_pool_worker():
+    if fault is None or not in_worker():
         return
     if fault.kind == KILL_WORKER:
         os._exit(KILL_EXIT_STATUS)
@@ -205,7 +202,7 @@ def maybe_inject(fault):
 def corrupt_or(fault, result):
     """``result``, or :data:`CORRUPT_BLOB` under a corrupt instruction."""
     if fault is not None and fault.kind == CORRUPT_RESULT \
-            and _in_pool_worker():
+            and in_worker():
         return CORRUPT_BLOB
     return result
 

@@ -40,7 +40,8 @@ from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from .backoff import backoff_delay, seed_int
-from .faults import INIT_FAILURE, FaultPlan, arm_init_fault
+from .faults import INIT_FAILURE, FaultPlan, arm_init_fault, disarm_init_fault
+from .pool import rebuild_shared_pool, shared_pool, shared_pool_healthy
 
 #: task states
 _PENDING = "pending"
@@ -227,22 +228,10 @@ class Supervisor:
         self.stage = stage
         self._tasks = []
 
-    # -- pool plumbing (lazily imported: repro.search.parallel owns the
-    # pool and imports this module, so the dependency must stay one-way
-    # at import time) --------------------------------------------------------
-
-    def _pool(self):
-        from ..search.parallel import shared_pool
-        return shared_pool(self.workers)
-
-    def _pool_healthy(self):
-        from ..search.parallel import shared_pool_healthy
-        return shared_pool_healthy()
+    # -- pool plumbing --------------------------------------------------------
 
     def _rebuild_pool(self, poison_init=False):
         """Kill + replace the pool; optionally with a poisoned initializer."""
-        from ..search.parallel import rebuild_shared_pool
-        from .faults import disarm_init_fault
         if poison_init:
             arm_init_fault()
         else:
@@ -286,7 +275,8 @@ class Supervisor:
                 fault = None
         kwargs = {} if fault is None else {"fault": fault}
         try:
-            task.future = self._pool().submit(task.fn, *task.args, **kwargs)
+            task.future = shared_pool(self.workers).submit(
+                task.fn, *task.args, **kwargs)
         except (*_POOL_FAILURES, RuntimeError) as exc:
             # the pool died between health check and submit
             self._rebuild_pool()
@@ -466,7 +456,7 @@ class Supervisor:
             self._collapse_pool(
                 TimeoutError("deadline expired on %d task(s), first key %r"
                              % (len(expired), expired[0].key)))
-        elif still_running and not self._pool_healthy():
+        elif still_running and not shared_pool_healthy():
             self._collapse_pool(RuntimeError("shared pool lost a worker"))
 
     # -- driver conveniences --------------------------------------------------

@@ -1,4 +1,4 @@
-"""The reproduction pipeline: staged sessions, batching, legacy shim."""
+"""The reproduction pipeline: staged sessions, batching, reports."""
 
 from .batch import BatchResult, run_many, select_scenarios
 from .bundle import ProgramBundle
@@ -9,7 +9,6 @@ from .report import (
     ReproductionReport,
     SCHEMA_VERSION,
 )
-from .reproducer import reproduce
 from .session import (
     AnalysisResult,
     CsvPlan,
@@ -30,7 +29,6 @@ __all__ = [
     "ReproductionReport",
     "SCHEMA_VERSION",
     "StressResult",
-    "reproduce",
     "run_many",
     "run_passing_with_alignment",
     "select_scenarios",

@@ -20,8 +20,8 @@ an in-process run after the retry budget, and at worst recorded as a
 structured degradation on ``BatchResult.exec_stats``.
 
 Scenario tasks run on the same shared process pool as plan-level
-parallel search (:func:`repro.search.parallel.shared_pool`), so both
-layers draw from one worker budget.  Inside a pool worker, a session
+parallel search (:func:`repro.exec.pool.shared_pool`), so both layers
+draw from one worker budget.  Inside a pool worker, a session
 configured with ``search_workers > 1`` automatically degrades its search
 to serial — nested pools never oversubscribe the machine.
 
@@ -32,11 +32,14 @@ to serial — nested pools never oversubscribe the machine.
 """
 
 import dataclasses
+import json
 import time
 import traceback
 from dataclasses import dataclass, field
+from functools import partial
 
 from ..exec.faults import corrupt_or, maybe_inject
+from ..exec.pool import in_worker
 from ..exec.supervisor import (
     ExecStats,
     Supervisor,
@@ -44,7 +47,6 @@ from ..exec.supervisor import (
     record_degradation,
 )
 from ..kb import scenario_fingerprint
-from ..search.parallel import in_worker
 from .config import ReproductionConfig
 from .report import ReproductionReport
 
@@ -185,19 +187,25 @@ def _run_one(name, config, stress_seed_stop, progress=None, fault=None):
             message=str(exc), traceback=traceback.format_exc())
 
 
-def _fingerprint_scenarios(names):
-    """``{name: fingerprint}`` for registered scenarios, best effort.
+def valid_row(name, row):
+    """Whether a worker's ``_run_one`` result is structurally sound."""
+    return isinstance(row, tuple) and len(row) == 3 and row[0] == name
 
-    A scenario whose build raises is left out — ``_run_one`` will
-    surface the error through the normal per-bug isolation instead.
+
+def submission_identity(scenario, config, stress_seed_stop):
+    """``(fingerprint, config key)``: when two submissions are one run.
+
+    The exact-dedup identity shared by ``run_many`` (which aliases
+    duplicate entries of one batch) and the service (which dedups repeat
+    job submissions): the scenario's program fingerprint
+    (:func:`repro.kb.scenario_fingerprint`) plus the canonical JSON of
+    every knob that can change the report.  Raises whatever resolving or
+    building the scenario raises (``KeyError`` for an unknown name).
     """
-    fingerprints = {}
-    for name in names:
-        try:
-            fingerprints[name] = scenario_fingerprint(name)
-        except Exception:  # noqa: BLE001 — defer to _run_one's isolation
-            continue
-    return fingerprints
+    doc = dataclasses.asdict(config)
+    doc["stress_seed_stop"] = stress_seed_stop
+    return (scenario_fingerprint(scenario),
+            json.dumps(doc, sort_keys=True, separators=(",", ":")))
 
 
 def select_scenarios(tags=(), exclude_tags=()):
@@ -242,19 +250,18 @@ def run_many(scenarios=None, config=None, workers=None, stress_seed_stop=8000,
     start = time.perf_counter()
     result = BatchResult(workers=max(1, workers or 1))
 
-    # identical submissions under different names (same program
-    # fingerprint + input) reproduce identically; run the first, alias
-    # the rest
-    fingerprints = _fingerprint_scenarios(names)
+    # identical submissions under different names reproduce identically;
+    # run the first, alias the rest
     canonical = {}
     for name in names:
-        fingerprint = fingerprints.get(name)
-        if fingerprint is None:
+        try:
+            identity = submission_identity(name, config, stress_seed_stop)
+        except Exception:  # noqa: BLE001 — _run_one isolates build errors
             continue
-        if fingerprint in canonical:
-            result.deduped[name] = canonical[fingerprint]
+        if identity in canonical:
+            result.deduped[name] = canonical[identity]
         else:
-            canonical[fingerprint] = name
+            canonical[identity] = name
     run_names = [name for name in names if name not in result.deduped]
 
     if result.workers == 1 or len(run_names) <= 1 or in_worker():
@@ -273,12 +280,6 @@ def run_many(scenarios=None, config=None, workers=None, stress_seed_stop=8000,
         name_of = {}
         by_name = {}
 
-        def valid_row(name):
-            def validate(row):
-                return (isinstance(row, tuple) and len(row) == 3
-                        and row[0] == name)
-            return validate
-
         def submit_next():
             name = next(queue, None)
             if name is not None:
@@ -286,7 +287,7 @@ def run_many(scenarios=None, config=None, workers=None, stress_seed_stop=8000,
                     _run_one, name, config, stress_seed_stop,
                     key=name,
                     deadline_s=policy.deadline_for(1),
-                    validate=valid_row(name))
+                    validate=partial(valid_row, name))
                 name_of[task] = name
 
         for _ in range(result.workers):

@@ -45,9 +45,6 @@ class ReproductionConfig:
     #: in-process path, >1 shards the worklist over the shared pool with
     #: provably serial-identical outcomes
     search_workers: int = 1
-    #: plans per shard; None picks an adaptive size (geometric ramp from
-    #: 1, so early reproductions stay cheap and deep sweeps amortize)
-    search_shard_size: int | None = None
     #: serve plans that an earlier strategy of the same session already
     #: ran from the cross-strategy testrun memo (identical outcomes,
     #: ``memo_hits`` counted in the SearchOutcome)
@@ -97,8 +94,6 @@ class ReproductionConfig:
             raise ValueError("search_workers must be >= 1")
         if self.stress_workers < 1:
             raise ValueError("stress_workers must be >= 1")
-        if self.search_shard_size is not None and self.search_shard_size < 1:
-            raise ValueError("search_shard_size must be >= 1 or None")
         if self.kb_max_warm_plans < 1:
             raise ValueError("kb_max_warm_plans must be >= 1")
         if self.shard_deadline_s is not None and self.shard_deadline_s <= 0:

@@ -30,7 +30,6 @@ first produces one by stress testing (not part of the technique, just
 how a dump is acquired — paper Sec. 6).
 """
 
-import pickle
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -182,7 +181,6 @@ class ReproSession:
         self.memo: Optional[TestrunMemo] = \
             TestrunMemo() if self.config.testrun_memo else None
         self._worker_spec = None
-        self._worker_spec_built = False
         self._fingerprint = None
         self._kb: Optional[KnowledgeBase] = None
         self._kb_built = False
@@ -427,7 +425,6 @@ class ReproSession:
             self._searches[name] = run_search(
                 search, workers=workers,
                 spec=self.worker_spec() if workers > 1 else None,
-                shard_size=self.config.search_shard_size,
                 supervision=self.supervision(),
                 deadline_hint=len(self.analyze_dump().events))
             self.stage_wall_s["search"] += time.perf_counter() - stage_start
@@ -509,15 +506,13 @@ class ReproSession:
         return kb.record(cases)
 
     def worker_spec(self):
-        """The picklable bundle parallel-search workers rebuild from.
+        """The picklable spec parallel-search workers rebuild from.
 
-        Built once per session (the candidate step map and target
-        signature are strategy-independent).  ``None`` when the program
-        cannot cross a process boundary — the executor then falls back
-        to serial search instead of failing.
+        Built once per session (the candidate step map is
+        strategy-independent).  A spec whose program cannot cross a
+        process boundary keeps the search serial instead of failing.
         """
-        if not self._worker_spec_built:
-            self._worker_spec_built = True
+        if self._worker_spec is None:
             config = self.config
             # the session engine's restore points are the single source
             # of truth for the worker-side engines (replay off ships an
@@ -525,12 +520,11 @@ class ReproSession:
             engine = self.replay_engine()
             step_map = tuple(engine.step_map().items()) \
                 if engine is not None else ()
-            spec = WorkerSessionSpec(
+            self._worker_spec = WorkerSessionSpec(
                 token=uuid4().hex,
                 program=self.bundle.program,
                 input_overrides=self.input_overrides,
                 max_steps=config.testrun_max_steps,
-                target_signature=self.acquire_failure().failure.signature(),
                 replay=config.replay,
                 replay_max_checkpoints=config.replay_max_checkpoints,
                 replay_max_bytes=config.replay_max_bytes,
@@ -539,11 +533,6 @@ class ReproSession:
                 block_table=(self.bundle.block_table
                              if config.block_exec else None),
             )
-            try:
-                pickle.dumps(spec)
-            except Exception:
-                spec = None
-            self._worker_spec = spec
         return self._worker_spec
 
     def search_all(self):

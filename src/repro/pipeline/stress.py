@@ -6,41 +6,22 @@ testing is very expensive, it is not part of our proposed technique").
 Here a seeded random-interleaving scheduler plays the role of the
 multicore platform; seeds are swept until the expected failure appears.
 
-The sweep is embarrassingly parallel — each seed's run is a
-deterministic function of the seed — so ``workers > 1`` shards
-contiguous seed ranges over the process-wide shared pool
-(:func:`repro.search.parallel.shared_pool`).  The reduction is
-deterministic: the *lowest* failing seed position wins (exactly what the
-serial sweep would have found first), earlier chunks are always resolved
-before a later hit is accepted, and the winning seed is re-executed
-locally so the returned :class:`StressResult` — dump, execution,
-``runs_tried``, failing ``RunResult`` — is byte-identical to the serial
-sweep's.  Inside a pool worker the sweep degrades to serial instead of
-nesting pools.
-
-Chunk dispatch is supervised (:mod:`repro.exec`): a chunk lost to a
-dead, hung, or corrupt worker is retried with backoff, quarantined to an
-in-process run after the retry budget, and — as the last rung — the
-whole sweep falls back to the serial loop with a structured degradation
-note.
+Each seed's run is a deterministic function of the seed, so
+``workers > 1`` hands the sweep to :func:`repro.exec.first_match` over
+the shared pool.  The *lowest* failing seed position wins (what the
+serial sweep finds first), and the winning seed is re-run locally, so
+the :class:`StressResult` — dump, execution, ``runs_tried``,
+observations — is byte-identical to the serial sweep's.
 """
 
-import pickle
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional
 
 from ..coredump.dump import take_core_dump
-from ..exec.faults import corrupt_or, maybe_inject
-from ..exec.supervisor import (
-    ExecutionDegraded,
-    SupervisionPolicy,
-    Supervisor,
-    record_degradation,
-)
+from ..exec.fanout import first_match
 from ..lang.errors import SearchError
 from ..runtime.scheduler import MulticoreScheduler
+from .bundle import ProgramBundle
 
 
 @dataclass
@@ -97,84 +78,6 @@ def _attempt(bundle, seed, input_overrides, expected_kind, expected_pc,
     return execution, result, qualifies
 
 
-# ---------------------------------------------------------------------------
-# what crosses the process boundary
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class StressWorkerSpec:
-    """Everything a pool worker needs to re-run stress seeds."""
-
-    program: object
-    input_overrides: Optional[dict]
-    expected_kind: Optional[str]
-    expected_pc: Optional[int]
-    switch_prob: float
-    instrument_loops: bool
-    max_steps: int
-    block_exec: bool
-    #: the driver's block partition, shipped so workers skip recomputing
-    block_table: object = None
-
-
-#: spec blob -> built bundle; tiny LRU so interleaved sweeps (batch
-#: drivers, equivalence suites) do not rebuild per chunk
-_BUNDLES = OrderedDict()
-_BUNDLE_CACHE_SIZE = 4
-
-
-def _bundle_for(spec_blob):
-    from .bundle import ProgramBundle
-
-    entry = _BUNDLES.get(spec_blob)
-    if entry is None:
-        spec = pickle.loads(spec_blob)
-        bundle = ProgramBundle(spec.program, max_steps=spec.max_steps,
-                               block_exec=spec.block_exec,
-                               block_table=spec.block_table)
-        entry = (bundle, spec)
-        _BUNDLES[spec_blob] = entry
-        while len(_BUNDLES) > _BUNDLE_CACHE_SIZE:
-            _BUNDLES.popitem(last=False)
-    else:
-        _BUNDLES.move_to_end(spec_blob)
-    return entry
-
-
-def run_stress_chunk(spec_blob, chunk, fault=None):
-    """Pool-worker entry: try ``[(position, seed), ...]`` in order.
-
-    Returns ``{"hit": [...], "observed": [...]}``: the first qualifying
-    ``(position, seed)`` as a one-element list — the chunk is a
-    contiguous ascending slice of the sweep, so its first hit is its
-    best — plus the ``(position, seed, kind)`` hung-state observations
-    preceding it.  Dumps and executions stay worker-side; the driver
-    re-runs the winning seed locally (deterministic, so byte-identical).
-    ``fault`` is a supervisor-injected instruction, honored only inside
-    pool workers.
-    """
-    maybe_inject(fault)
-    bundle, spec = _bundle_for(spec_blob)
-    hit = []
-    observed = []
-    for position, seed in chunk:
-        _execution, result, qualifies = _attempt(
-            bundle, seed, spec.input_overrides, spec.expected_kind,
-            spec.expected_pc, spec.switch_prob, spec.instrument_loops,
-            use_blocks=None)
-        if qualifies:
-            hit = [(position, seed)]
-            break
-        kind = _observation(result)
-        if kind is not None:
-            observed.append((position, seed, kind))
-    return corrupt_or(fault, {"hit": hit, "observed": observed})
-
-
-# ---------------------------------------------------------------------------
-# the sweep
-# ---------------------------------------------------------------------------
-
 def stress_test(bundle, input_overrides=None, seeds=None, expected_kind=None,
                 expected_pc=None, switch_prob=0.3, instrument_loops=True,
                 workers=1, use_blocks=None, supervision=None):
@@ -184,36 +87,20 @@ def stress_test(bundle, input_overrides=None, seeds=None, expected_kind=None,
     "the" bug (matching the bug report); any failure qualifies when both
     are None.  ``workers > 1`` parallelizes the sweep over the shared
     pool with serial-identical results (lowest failing seed wins), under
-    the ``supervision`` policy (dead/hung workers retried, then
-    quarantined); if supervised execution exhausts every recovery rung
-    the sweep degrades to the serial loop below, recording a structured
-    note on the policy's stats.
+    the ``supervision`` policy; a sweep that cannot fan out, or whose
+    supervised execution degrades, runs the serial loop below.
     """
     if seeds is None:
         seeds = range(0, 2000)
     start = time.perf_counter()
     if workers > 1:
         seeds = list(seeds)
-        spec_blob = _picklable_spec(bundle, input_overrides, expected_kind,
-                                    expected_pc, switch_prob,
-                                    instrument_loops, use_blocks)
-        from ..search.parallel import in_worker
-        if spec_blob is not None and not in_worker() and len(seeds) > 1:
-            policy = supervision if supervision is not None \
-                else SupervisionPolicy()
-            try:
-                return _parallel_stress(
-                    bundle, seeds, spec_blob, workers, start,
-                    input_overrides=input_overrides,
-                    expected_kind=expected_kind, expected_pc=expected_pc,
-                    switch_prob=switch_prob,
-                    instrument_loops=instrument_loops,
-                    use_blocks=use_blocks, policy=policy)
-            except ExecutionDegraded as exc:
-                # graceful degradation: the serial sweep below is the
-                # ground truth the parallel one reduces to anyway
-                record_degradation(policy.stats, exc.stage, exc.reason,
-                                   exc.detail)
+        found = _parallel_stress(
+            bundle, seeds, workers, supervision, start, use_blocks,
+            (input_overrides, expected_kind, expected_pc, switch_prob,
+             instrument_loops))
+        if found is not None:
+            return found
     runs = 0
     observed = []
     for seed in seeds:
@@ -236,122 +123,79 @@ def stress_test(bundle, input_overrides=None, seeds=None, expected_kind=None,
         % (bundle.name, runs))
 
 
-def _picklable_spec(bundle, input_overrides, expected_kind, expected_pc,
-                    switch_prob, instrument_loops, use_blocks):
-    """The pickled worker spec, or None when it cannot cross processes."""
+# ---------------------------------------------------------------------------
+# the sharded sweep (a client of repro.exec.first_match)
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class StressWorkerSpec:
+    """Everything a pool worker needs to re-run stress seeds."""
+
+    program: object
+    max_steps: int
+    block_exec: bool
+    block_table: object    # the driver's partition: workers skip it
+    attempt_args: tuple    # _attempt's arguments after the seed
+
+
+def _stress_context(spec):
+    return ProgramBundle(spec.program, max_steps=spec.max_steps,
+                         block_exec=spec.block_exec,
+                         block_table=spec.block_table), spec.attempt_args
+
+
+def _stress_run(context, seed):
+    """``(qualifies, hung-state kind or None)`` of one worker-side run."""
+    bundle, attempt_args = context
+    _execution, result, qualifies = _attempt(bundle, seed, *attempt_args,
+                                             use_blocks=None)
+    return qualifies, None if qualifies else _observation(result)
+
+
+def _qualified(outcome):
+    return outcome[0]
+
+
+def _stress_spec(bundle, use_blocks, attempt_args):
     block_exec = bundle.block_exec if use_blocks is None else use_blocks
-    spec = StressWorkerSpec(
-        program=bundle.program,
-        input_overrides=input_overrides,
-        expected_kind=expected_kind,
-        expected_pc=expected_pc,
-        switch_prob=switch_prob,
-        instrument_loops=instrument_loops,
-        max_steps=bundle.max_steps,
+    return StressWorkerSpec(
+        program=bundle.program, max_steps=bundle.max_steps,
         block_exec=block_exec,
         block_table=bundle.block_table if block_exec else None,
-    )
-    try:
-        return pickle.dumps(spec)
-    except Exception:
+        attempt_args=attempt_args)
+
+
+def _parallel_stress(bundle, seeds, workers, supervision, start, use_blocks,
+                     attempt_args):
+    """The sharded sweep, or None when the serial loop must run.
+
+    Dumps and executions stay in the workers: the winning seed is re-run
+    here (deterministic, so byte-identical to the serial sweep's run).
+    """
+    if len(seeds) <= 1:
         return None
-
-
-def _parallel_stress(bundle, seeds, spec_blob, workers, start,
-                     input_overrides, expected_kind, expected_pc,
-                     switch_prob, instrument_loops, use_blocks, policy=None):
-    """Sharded sweep with a deterministic lowest-position reduction."""
-    policy = policy if policy is not None else SupervisionPolicy()
-    chunk_size = max(1, min(64, len(seeds) // (workers * 8) or 1))
-    chunks = [[(i, seeds[i]) for i in range(lo, min(lo + chunk_size,
-                                                    len(seeds)))]
-              for lo in range(0, len(seeds), chunk_size)]
-    supervisor = Supervisor(workers, policy, stage="stress")
-    outcomes = {}            # chunk index -> {"hit": [...], "observed": [...]}
-    chunk_of = {}            # task -> chunk index
-    next_chunk = 0
-    earliest_hit = None      # lowest chunk index with a qualifying seed
-
-    def valid_chunk(result):
-        return (isinstance(result, dict)
-                and isinstance(result.get("hit"), list)
-                and isinstance(result.get("observed"), list)
-                and all(isinstance(hit, tuple) and len(hit) == 2
-                        for hit in result["hit"])
-                and all(isinstance(obs, tuple) and len(obs) == 3
-                        for obs in result["observed"]))
-
-    def winner_so_far():
-        """The hit all of whose predecessor chunks resolved empty."""
-        for idx in range(len(chunks)):
-            if idx not in outcomes:
-                return None
-            if outcomes[idx]["hit"]:
-                return outcomes[idx]["hit"][0]
+    prefix = first_match(seeds, _stress_run, _stress_context,
+                         _stress_spec(bundle, use_blocks, attempt_args),
+                         is_hit=_qualified, workers=workers,
+                         policy=supervision, stage="stress", max_chunk=64)
+    if prefix is None:
         return None
-
-    def observations_before(position):
-        """Hung-state notes at sweep positions the serial loop would
-        have visited: every predecessor chunk of the winner is fully
-        resolved, and the winner's own chunk stopped at the hit — so
-        filtering to earlier positions reproduces the serial list."""
-        return tuple(sorted(
-            obs
-            for idx in outcomes
-            for obs in outcomes[idx]["observed"]
-            if obs[0] < position))
-
-    try:
-        while True:
-            # once any hit is known, nothing new is worth submitting:
-            # chunks beyond it can never lower the winner, and all
-            # chunks before it are already in flight
-            while earliest_hit is None and next_chunk < len(chunks) \
-                    and len(supervisor.active()) < workers * 2:
-                chunk = chunks[next_chunk]
-                task = supervisor.submit(
-                    run_stress_chunk, spec_blob, chunk,
-                    key=next_chunk,
-                    deadline_s=policy.deadline_for(len(chunk)),
-                    validate=valid_chunk)
-                chunk_of[task] = next_chunk
-                next_chunk += 1
-            finished = supervisor.wait_any()
-            if not finished:
-                break
-            for task in finished:
-                supervisor.raise_if_failed(task)
-                idx = chunk_of[task]
-                outcomes[idx] = task.result
-                if outcomes[idx]["hit"] and (earliest_hit is None
-                                             or idx < earliest_hit):
-                    earliest_hit = idx
-            hit = winner_so_far()
-            if hit is not None:
-                position, seed = hit
-                execution, result, qualifies = _attempt(
-                    bundle, seed, input_overrides, expected_kind,
-                    expected_pc, switch_prob, instrument_loops, use_blocks)
-                if not qualifies:
-                    raise SearchError(
-                        "worker-reported stress seed %d for %s did not "
-                        "reproduce locally" % (seed, bundle.name))
-                dump = take_core_dump(execution, "failure")
-                return StressResult(
-                    seed=seed, runs_tried=position + 1,
-                    wall_seconds=time.perf_counter() - start,
-                    result=result, execution=execution, dump=dump,
-                    observations=observations_before(position))
-            if earliest_hit is not None:
-                for task in supervisor.active():
-                    if chunk_of[task] > earliest_hit:
-                        task.cancel()
-    finally:
-        for task in supervisor.active():
-            task.cancel()
-    raise SearchError(
-        "no failing interleaving found for %s in %d runs"
-        % (bundle.name, len(seeds)))
+    if prefix.winner is None:
+        raise SearchError("no failing interleaving found for %s in %d runs"
+                          % (bundle.name, len(seeds)))
+    seed = seeds[prefix.winner]
+    execution, result, qualifies = _attempt(bundle, seed, *attempt_args,
+                                            use_blocks=use_blocks)
+    if not qualifies:
+        raise SearchError("worker-reported stress seed %d for %s did not "
+                          "reproduce locally" % (seed, bundle.name))
+    return StressResult(
+        seed=seed, runs_tried=prefix.winner + 1,
+        wall_seconds=time.perf_counter() - start, result=result,
+        execution=execution, dump=take_core_dump(execution, "failure"),
+        observations=tuple((i, seeds[i], kind)
+                           for i, (_hit, kind) in enumerate(prefix.results)
+                           if kind is not None))
 
 
 def verify_passes_on_single_core(bundle, input_overrides=None):

@@ -10,14 +10,7 @@ from .base import (
 from .chess import ChessSearch
 from .chessx import ChessXSearch
 from .instcount import ContextPCAligner, InstructionCountAligner
-from .parallel import (
-    WorkerSessionSpec,
-    default_worker_budget,
-    in_worker,
-    run_search,
-    shared_pool,
-    shutdown_shared_pool,
-)
+from .parallel import WorkerSessionSpec, run_search
 from .preemption import (
     BOTTOM_WEIGHT,
     FutureCSVIndex,
@@ -44,12 +37,8 @@ __all__ = [
     "SearchOutcome",
     "TestrunMemo",
     "WorkerSessionSpec",
-    "default_worker_budget",
-    "in_worker",
     "plan_fingerprint",
     "run_search",
-    "shared_pool",
-    "shutdown_shared_pool",
     "ChessSearch",
     "ChessXSearch",
     "FutureCSVIndex",

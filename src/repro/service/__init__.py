@@ -30,7 +30,6 @@ from .manager import (
     JobManager,
     UnknownJobError,
     UnknownScenarioError,
-    config_key,
 )
 from .store import ReportStore, signature_key
 
@@ -53,7 +52,6 @@ __all__ = [
     "ServiceThread",
     "UnknownJobError",
     "UnknownScenarioError",
-    "config_key",
     "read_progress",
     "signature_key",
 ]

@@ -4,15 +4,15 @@
 HTTP-agnostic (the front-end in :mod:`repro.service.http` is a thin
 translation layer over it, and tests drive it directly):
 
-* **Submission dedup.**  Every submission is fingerprinted before it is
-  enqueued (:func:`repro.kb.scenario_fingerprint` — the same identity
-  ``run_many`` aliases duplicate batch entries by).  A submission whose
-  ``(fingerprint, effective config)`` matches a live or completed job
-  returns that canonical job instead of creating a second run; only
+* **Submission dedup.**  Every submission is identified before it is
+  enqueued by :func:`repro.pipeline.batch.submission_identity` — the
+  same ``(fingerprint, effective config)`` identity ``run_many`` aliases
+  duplicate batch entries by.  A submission matching a live or completed
+  job returns that canonical job instead of creating a second run; only
   failed or cancelled jobs are eligible for re-submission.
 * **One shared pool.**  Jobs execute through
   :class:`repro.exec.Supervisor` on the process-wide shared pool
-  (:func:`repro.search.parallel.shared_pool`), so service traffic,
+  (:func:`repro.exec.pool.shared_pool`), so service traffic,
   ``run_many`` batches, and plan-level search sharding all draw from a
   single worker budget — and every supervision rung (retry with
   backoff, deadline reclamation, pool rebuild, quarantine to an
@@ -34,14 +34,13 @@ byte-identity property is pinned in.
 """
 
 import dataclasses
-import json
 import os
 import tempfile
 import threading
+from functools import partial
 
 from ..exec.supervisor import Supervisor, policy_from_config
-from ..kb import scenario_fingerprint
-from ..pipeline.batch import _run_one
+from ..pipeline.batch import _run_one, submission_identity, valid_row
 from ..pipeline.config import ReproductionConfig
 from .jobs import (
     CANCELLED,
@@ -63,13 +62,6 @@ class UnknownScenarioError(KeyError):
 
 class UnknownJobError(KeyError):
     """A job id the manager has never issued."""
-
-
-def config_key(config, stress_seed_stop):
-    """Canonical JSON identity of one submission's effective knobs."""
-    doc = dataclasses.asdict(config)
-    doc["stress_seed_stop"] = stress_seed_stop
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 class JobManager:
@@ -163,11 +155,10 @@ class JobManager:
         seed_stop = self.stress_seed_stop if stress_seed_stop is None \
             else stress_seed_stop
         try:
-            fingerprint = scenario_fingerprint(scenario)
+            identity = submission_identity(scenario, config, seed_stop)
         except KeyError as exc:
             raise UnknownScenarioError(str(exc)) from None
         name = scenario if isinstance(scenario, str) else scenario.name
-        identity = (fingerprint, config_key(config, seed_stop))
         with self._lock:
             canonical_id = self._by_identity.get(identity)
             if canonical_id is not None:
@@ -177,7 +168,7 @@ class JobManager:
                     canonical.submissions += 1
                     return canonical, True
             job = JobRecord(
-                job_id=new_job_id(), scenario=name, fingerprint=fingerprint,
+                job_id=new_job_id(), scenario=name, fingerprint=identity[0],
                 config_key=identity[1], config=config,
                 stress_seed_stop=seed_stop)
             job.progress_path = os.path.join(self._spool_dir,
@@ -310,8 +301,7 @@ class JobManager:
             ProgressSpool(job.progress_path),
             key=job.job_id,
             deadline_s=self._supervisor.policy.deadline_for(1),
-            validate=lambda row, name=name: (
-                isinstance(row, tuple) and len(row) == 3 and row[0] == name))
+            validate=partial(valid_row, name))
         with self._lock:
             self._task_job[task] = job.job_id
 

@@ -6,7 +6,7 @@ import subprocess
 import sys
 import time
 
-from repro.search import parallel as par
+from repro.exec import pool as par
 
 
 def _wait_until(predicate, timeout_s=10.0):
@@ -70,7 +70,7 @@ def test_shutdown_shared_pool_reaps_every_worker():
 
 _SIGTERM_SCRIPT = r"""
 import os, signal
-from repro.search.parallel import shared_pool
+from repro.exec.pool import shared_pool
 
 pool = shared_pool(2)
 for fut in [pool.submit(os.getpid) for _ in range(2)]:
@@ -113,7 +113,7 @@ def test_sigterm_shuts_the_pool_down_without_orphans():
 
 _FORKED_SIGTERM_SCRIPT = r"""
 import os, signal
-from repro.search import parallel
+from repro.exec import pool as parallel
 
 parallel.shared_pool(1)  # installs the chained SIGTERM handler
 parallel.shutdown_shared_pool()

@@ -18,7 +18,7 @@ from repro.exec.supervisor import (
     policy_from_config,
     record_degradation,
 )
-from repro.search.parallel import in_worker
+from repro.exec.pool import in_worker
 
 #: fast-converging knobs for pool tests (the defaults favor patience)
 _FAST = dict(backoff_base_s=0.01, backoff_max_s=0.05, heartbeat_s=0.05)
@@ -162,7 +162,7 @@ def test_pool_rebuilds_after_injected_worker_kill():
     assert supervisor.stats.faults_injected == 1
     assert supervisor.stats.pool_rebuilds >= 1
     assert supervisor.stats.retries >= 1
-    from repro.search.parallel import shared_pool_healthy
+    from repro.exec.pool import shared_pool_healthy
     assert shared_pool_healthy()
 
 

@@ -5,8 +5,8 @@ import pytest
 from repro.bugs import get_scenario, scenarios_by_tag, table2_scenarios
 from repro.pipeline import (
     ProgramBundle,
+    ReproSession,
     ReproductionConfig,
-    reproduce,
     stress_test,
     verify_passes_on_single_core,
 )
@@ -30,8 +30,9 @@ def pipeline_for(name):
         stress = stress_test(bundle, input_overrides=scenario.input_overrides,
                              expected_kind=scenario.expected_fault,
                              seeds=range(8000))
-        report = reproduce(bundle, failure_dump=stress.dump,
-                           input_overrides=scenario.input_overrides)
+        report = ReproSession(
+            bundle, failure_dump=stress.dump,
+            input_overrides=scenario.input_overrides).report()
         _CACHE[name] = (scenario, bundle, stress, report)
     return _CACHE[name]
 

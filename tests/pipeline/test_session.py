@@ -12,7 +12,6 @@ from repro.pipeline import (
     ReproductionConfig,
     ReproductionReport,
     SCHEMA_VERSION,
-    reproduce,
     run_many,
 )
 from repro.registry import ALIGNERS, HEURISTICS, SEARCH_STRATEGIES
@@ -24,7 +23,7 @@ BATCH_NAMES = ["fig1", "apache-1", "mysql-1"]
 
 def _probe_in_worker():
     """Module-level so the process pool can pickle it by reference."""
-    from repro.search.parallel import in_worker
+    from repro.exec.pool import in_worker
 
     return in_worker()
 
@@ -239,7 +238,7 @@ class TestBatchDriver:
         """Sessions inside batch workers see in_worker() and therefore
         keep their plan-level search serial — one shared budget, no
         nested pools."""
-        from repro.search.parallel import shared_pool
+        from repro.exec.pool import shared_pool
 
         pool = shared_pool(2)
         assert pool.submit(_probe_in_worker).result() is True
@@ -255,18 +254,6 @@ class TestBatchDriver:
 
 
 class TestLegacyShim:
-    def test_reproduce_warns_and_matches_session(self, fig1_session):
-        bundle = fig1_session.bundle
-        dump = fig1_session.failure_dump
-        with pytest.warns(DeprecationWarning, match="ReproSession"):
-            legacy = reproduce(bundle, failure_dump=dump)
-        fresh = ReproSession(bundle, failure_dump=dump).report()
-        assert legacy.table3_row() == fresh.table3_row()
-        assert {name: (o.tries, o.reproduced)
-                for name, o in legacy.searches.items()} == \
-            {name: (o.tries, o.reproduced)
-             for name, o in fresh.searches.items()}
-
     def test_session_revalidates_config(self, fig1_session):
         config = ReproductionConfig()
         config.aligner = "typo"  # mutated after construction

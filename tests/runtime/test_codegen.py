@@ -23,7 +23,7 @@ from repro.lang.errors import DivisionByZero, InterpreterError
 from repro.lang.lower import lower_program
 from repro.lang.values import NULL, Pointer
 from repro.pipeline.bundle import ProgramBundle
-from repro.pipeline.stress import _picklable_spec
+from repro.pipeline.stress import _stress_spec
 from repro.runtime import DeterministicScheduler, Execution, StepEffects
 from repro.runtime.codegen import compile_expr, compile_store
 from repro.runtime.heap import HeapArray, HeapStruct
@@ -324,7 +324,8 @@ def test_worker_specs_still_pickle_after_a_run():
     spec = session.worker_spec()
     assert spec is not None
     assert pickle.loads(pickle.dumps(spec)).program.name == "fig1"
-    blob = _picklable_spec(bundle, scenario.input_overrides,
-                           scenario.expected_fault, None, 0.3, True, None)
-    assert blob is not None
+    stress_spec = _stress_spec(bundle, None, (scenario.input_overrides,
+                                              scenario.expected_fault, None,
+                                              0.3, True))
+    blob = pickle.dumps(stress_spec)
     assert pickle.loads(blob).block_table == bundle.block_table

@@ -173,7 +173,7 @@ def test_memo_hits_on_identical_guided_worklists():
 
 def test_parallel_single_worker_is_serial_path():
     """search_workers=1 must not touch the pool at all."""
-    from repro.search import parallel as par
+    from repro.exec import pool as par
     scenario, bundle, dump = _failure_dump("fig1")
     session = ReproSession(bundle, config=ReproductionConfig(**_CONFIG_KW),
                            failure_dump=dump,

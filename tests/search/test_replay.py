@@ -4,7 +4,7 @@ import pytest
 
 from repro.bugs import get_scenario
 from repro.pipeline import ProgramBundle, ReproductionConfig, stress_test
-from repro.pipeline.reproducer import run_passing_with_alignment
+from repro.pipeline.session import run_passing_with_alignment
 from repro.runtime import DeterministicScheduler
 from repro.search import (
     CheckpointCache,

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.pipeline import ProgramBundle, stress_test, reproduce
-from repro.pipeline.reproducer import (
+from repro.pipeline import ProgramBundle, ReproSession, stress_test
+from repro.pipeline.session import (
     ReproductionConfig,
     run_passing_with_alignment,
 )
@@ -146,7 +146,8 @@ class TestChessSearches:
 
     def test_chessx_beats_chess_on_fig1(self, fig1_setup):
         bundle = fig1_setup["bundle"]
-        report = reproduce(bundle, failure_dump=fig1_setup["stress"].dump)
+        report = ReproSession(
+            bundle, failure_dump=fig1_setup["stress"].dump).report()
         chess = report.searches["chess"]
         chessx = report.searches["chessX+dep"]
         assert chess.reproduced and chessx.reproduced
@@ -174,8 +175,8 @@ class TestBaselineAligners:
         config = ReproductionConfig(aligner="instcount",
                                     heuristics=("temporal",),
                                     include_chess=False)
-        report = reproduce(bundle, failure_dump=fig1_setup["stress"].dump,
-                           config=config)
+        report = ReproSession(bundle, config,
+                              failure_dump=fig1_setup["stress"].dump).report()
         assert report.alignment is not None
         assert "chessX+temporal" in report.searches
 
@@ -184,6 +185,6 @@ class TestBaselineAligners:
         config = ReproductionConfig(aligner="contextpc",
                                     heuristics=("temporal",),
                                     include_chess=False)
-        report = reproduce(bundle, failure_dump=fig1_setup["stress"].dump,
-                           config=config)
+        report = ReproSession(bundle, config,
+                              failure_dump=fig1_setup["stress"].dump).report()
         assert report.alignment is not None
