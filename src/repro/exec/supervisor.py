@@ -34,7 +34,7 @@ matter how many workers died along the way.
 """
 
 import time
-from concurrent.futures import wait
+from concurrent.futures import FIRST_COMPLETED, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, fields
 from typing import Optional
@@ -87,6 +87,8 @@ class ExecStats:
     quarantined: int = 0
     pool_rebuilds: int = 0
     deadline_expiries: int = 0
+    #: injected faults the ladder saw: counted when the faulted attempt's
+    #: outcome is read (an init fault: at its poisoned rebuild)
     faults_injected: int = 0
     degraded: int = 0
     #: structured DegradedExecution notes: {stage, reason, detail} dicts
@@ -180,7 +182,7 @@ class SupervisedTask:
 
     __slots__ = ("fn", "args", "key", "deadline_s", "validate", "serial_fn",
                  "attempts", "future", "deadline_at", "eligible_at",
-                 "result", "error", "state", "delivered")
+                 "result", "error", "state", "delivered", "fault")
 
     def __init__(self, fn, args, key, deadline_s, validate, serial_fn):
         self.fn = fn
@@ -197,6 +199,7 @@ class SupervisedTask:
         self.error = None          # terminal error after quarantine failed
         self.state = _PENDING
         self.delivered = False
+        self.fault = None          # fault injected into the attempt in flight
 
     @property
     def done(self):
@@ -265,14 +268,14 @@ class Supervisor:
         if plan is not None:
             fault = plan.instruction_for(self.stage, task.key, task.attempts)
         task.attempts += 1
-        if fault is not None:
+        if fault is not None and fault.kind == INIT_FAILURE:
+            # arm the env flag and force fresh workers under it: the
+            # next result collection surfaces BrokenProcessPool,
+            # driving the rebuild path end to end
             self.stats.faults_injected += 1
-            if fault.kind == INIT_FAILURE:
-                # arm the env flag and force fresh workers under it: the
-                # next result collection surfaces BrokenProcessPool,
-                # driving the rebuild path end to end
-                self._rebuild_pool(poison_init=True)
-                fault = None
+            self._rebuild_pool(poison_init=True)
+            fault = None
+        task.fault = fault
         kwargs = {} if fault is None else {"fault": fault}
         try:
             task.future = shared_pool(self.workers).submit(
@@ -337,11 +340,24 @@ class Supervisor:
         running = [t for t in self._tasks if t.state == _RUNNING]
         self._rebuild_pool()
         for task in running:
+            self._count_fault(task)
             self._attempt_failed(task, reason)
 
     # -- result absorption ----------------------------------------------------
 
+    def _count_fault(self, task):
+        """Count the fault of ``task``'s attempt once its outcome is read.
+
+        An attempt cancelled while still running (a chunk past the
+        winner) is never read, so its fault is not counted: the count is
+        of faults the recovery ladder saw.
+        """
+        if task.fault is not None:
+            self.stats.faults_injected += 1
+            task.fault = None
+
     def _absorb(self, task, future):
+        self._count_fault(task)
         try:
             result = future.result()
         except _POOL_FAILURES as exc:
@@ -427,7 +443,8 @@ class Supervisor:
         for task in waiting:
             timeout = min(timeout, task.eligible_at - now)
         done, _ = wait([t.future for t in running],
-                       timeout=max(0.01, timeout))
+                       timeout=max(0.01, timeout),
+                       return_when=FIRST_COMPLETED)
 
         by_future = {t.future: t for t in running}
         for future in done:

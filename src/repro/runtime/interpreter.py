@@ -15,10 +15,11 @@ measures).
 
 This module is the hottest path in the codebase — every testrun of every
 schedule search funnels through it.  :mod:`repro.runtime.codegen`
-compiles each instruction once per program into a closure:
-:meth:`Execution.step`, which hooks observe, runs the *traced* closures
-that record uses and defs; :meth:`Execution.run_chain` runs the *fast*
-ones, which record none.  :meth:`Execution.run` resolves hook and
+compiles the program once: :meth:`Execution.step`, which hooks observe,
+runs *traced* closures that record uses and defs, and
+:meth:`Execution.run_chain` runs *emitted* Python, one generated
+function per IR function that runs a whole chain of blocks in a single
+frame and records none.  :meth:`Execution.run` resolves hook and
 scheduler-observer methods once per run.
 
 Block execution (the macro-step path)
@@ -57,14 +58,15 @@ Everything observable — step counts, per-thread instruction counts,
 region stacks and loop counters (hence execution indices and core
 dumps), output order, failures — is byte-identical between the two
 paths; runs with hooks installed (tracing, alignment) always take the
-instruction path, because hooks define per-instruction observability.
+instruction path, because hooks define per-instruction observability,
+and so do runs of a program whose emitted code Python will not compile.
 """
 
 from dataclasses import dataclass
 from typing import Optional
 
 from ..lang.errors import InterpreterError, RuntimeFault
-from .codegen import code_for, compile_expr
+from .codegen import code_for, compile_expr, pop_regions
 from .events import Failure, StepEffects, StopExecution
 from .frames import Frame, ThreadState, ThreadStatus
 from .heap import Heap
@@ -139,7 +141,10 @@ class Execution:
         self.scheduler = scheduler
         self._instrs = compiled.instrs
         code = code_for(compiled, analysis)
-        self._fast, self._traced = code.fast, code.traced
+        self._traced = code.traced
+        self._runs = code.emitted(blocks) if blocks and not hooks else None
+        if self._runs is None:
+            blocks = None  # runs one traced instruction at a time
         #: per pc, the lock an ``ACQUIRE`` there takes (None elsewhere)
         self.acquire_locks = code.acquire_lock
         self._thread_order = [spec.name for spec in compiled.program.threads]
@@ -206,23 +211,6 @@ class Execution:
         code = compile_expr(expr, track=False, alloc=False)
         return code(self, thread, thread.current_frame, None)
 
-    # -- region stack maintenance (EI rules 3 & 4) -----------------------------
-
-    def _pop_regions(self, frame, pc):
-        """EI rule 4: pop regions whose immediate post-dominator is ``pc``."""
-        stack = frame.region_stack
-        if not stack or stack[-1].exit_pc != pc:
-            return
-        popped_loops = set()
-        while stack and stack[-1].exit_pc == pc:
-            entry = stack.pop()
-            if entry.loop_id is not None:
-                popped_loops.add(entry.loop_id)
-        if popped_loops:
-            live = {entry.loop_id for entry in stack if entry.loop_id is not None}
-            for loop_id in popped_loops - live:
-                frame.loop_counters.pop(loop_id, None)
-
     # -- scheduling predicates ---------------------------------------------
 
     def runnable_threads(self):
@@ -255,7 +243,7 @@ class Execution:
             raise InterpreterError("stepping non-ready thread %s" % thread_name)
         frame = thread.frames[-1]
         pc = frame.pc
-        self._pop_regions(frame, pc)
+        pop_regions(frame, pc)
         effects = StepEffects(thread=thread_name, step=self.step_count,
                               pc=pc, op=self._instrs[pc].op)
         if thread.started_at is None:
@@ -289,20 +277,21 @@ class Execution:
         breaks before an ``ACQUIRE`` only when another thread holds the
         lock.  Returns one batched :class:`StepEffects` summary whose
         ``batch`` counts the executed instructions and ``syncs`` lists
-        the syncs in order.  Steps run the untracked closures, so
-        ``uses`` / ``defs`` stay empty: nothing on this path consumes
-        them.
+        the syncs in order; ``uses`` / ``defs`` stay empty, as nothing
+        on this path consumes them.
 
-        ``commit`` is the scheduler's ``block_commit``: it pre-draws the
-        scheduler's per-instruction decisions over each block so
-        interleavings stay byte-identical to instruction mode.  Without
-        one (block-granular schedulers) blocks run on ``chain_span``.
+        Each stretch of one frame runs in the emitted ``run`` of its
+        function, which stops by itself at a chain break or at
+        ``stop_at``; it comes back here only after a ``CALL`` or
+        ``RETURN``.  ``commit`` is the scheduler's ``block_commit``: it
+        pre-draws the scheduler's per-instruction decisions over each
+        block of ``span`` so interleavings stay byte-identical to
+        instruction mode, and ``run`` executes the committed prefix.
         """
         thread = self.threads[thread_name]
         frames = thread.frames
-        spans = self.blocks.span if commit else self.blocks.chain_span
-        region_work = self.blocks.region_work
-        code, acquire_locks = self._fast, self.acquire_locks
+        spans, runs = self.blocks.span, self._runs
+        acquire_locks = self.acquire_locks
         start = self.step_count
         stop_at = self.max_steps if limit is None \
             else min(self.max_steps, start + limit)
@@ -311,50 +300,51 @@ class Execution:
         if thread.started_at is None:
             thread.started_at = start
         first = True
-        while True:
-            count = spans[frames[-1].pc]
-            if self.step_count + count > stop_at:
-                # an exhausted budget still runs one step, mirroring the
-                # instruction loop's step-then-check order
-                count = max(stop_at - self.step_count, 1)
-            pending = False
-            if commit is not None and (count > 1 or not first):
-                self.sched_commits += 1
-                committed = commit(self, runnable, thread_name, count, first)
-                pending = committed < count
-                count = committed
-                if count == 0:
-                    break
-            end = self.step_count + count
-            try:
-                while self.step_count < end:
-                    frame = frames[-1]
-                    pc = frame.pc
-                    if region_work[pc]:
-                        self._pop_regions(frame, pc)
-                    code[pc](self, thread, frame, effects)
-                    self.step_count += 1
-            except RuntimeFault as fault:
-                self.failure = Failure(kind=fault.kind, pc=pc,
-                                       thread=thread_name,
-                                       message=fault.message)
-                self.status = ExecutionStatus.FAILED
-                thread.status = ThreadStatus.FAILED
-                self.step_count += 1
-                break
-            first = False
-            if not settled and effects.sync is not None:
-                break  # the observer must see the sync before the next pick
-            if thread.status is not ThreadStatus.READY:
-                break  # thread exit (a failure already left the loop)
-            if pending or self.step_count >= stop_at:
-                break  # scheduler switch, step budget, or caller's limit
-            lock = acquire_locks[frames[-1].pc]
-            if lock is not None and not (
-                    settled and self.locks.is_free_for(lock, thread_name)):
-                break  # pre-acquire pick point (may block or redirect)
-        effects.batch = self.step_count - start
-        thread.instr_count += effects.batch
+        try:
+            while True:
+                frame = frames[-1]
+                if commit is None:
+                    if not runs[frame.func](self, thread, frame, effects,
+                                            settled, stop_at):
+                        break  # a chain break, or the budget ran out
+                else:
+                    count = spans[frame.pc]
+                    if self.step_count + count > stop_at:
+                        # an exhausted budget still runs one step, mirroring
+                        # the instruction loop's step-then-check order
+                        count = max(stop_at - self.step_count, 1)
+                    if count > 1 or not first:
+                        self.sched_commits += 1
+                        committed = commit(self, runnable, thread_name,
+                                           count, first)
+                        if committed == 0:
+                            break
+                    else:
+                        committed = count
+                    runs[frame.func](self, thread, frame, effects, settled,
+                                     self.step_count + committed)
+                    first = False
+                    if committed < count or (
+                            not settled and effects.sync is not None):
+                        # a scheduler switch, or a sync the observer must
+                        # see before the next pick
+                        break
+                if thread.status is not ThreadStatus.READY \
+                        or self.step_count >= stop_at:
+                    break  # thread exit, step budget, or caller's limit
+                lock = acquire_locks[frames[-1].pc]
+                if lock is not None and not (
+                        settled and self.locks.is_free_for(lock, thread_name)):
+                    break  # pre-acquire pick point (may block or redirect)
+        except RuntimeFault as fault:
+            self.failure = Failure(kind=fault.kind, pc=fault.pc,
+                                   thread=thread_name, message=fault.message)
+            self.status = ExecutionStatus.FAILED
+            thread.status = ThreadStatus.FAILED
+            self.step_count += 1
+        finally:
+            effects.batch = self.step_count - start
+            thread.instr_count += effects.batch
         return effects
 
     def _run_blocks(self, commit):

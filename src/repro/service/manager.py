@@ -337,11 +337,14 @@ class JobManager:
                 return
             job.report_json = report_json
             job.transition(DONE)
-        if self.store is not None:
-            try:
-                self.store.put(job, report_json)
-            except Exception as exc:  # noqa: BLE001 — keep serving from memory
-                job.error = _error_doc("store", type(exc).__name__, str(exc))
+            # stored under the lock, so no status read sees DONE before
+            # the store has the report
+            if self.store is not None:
+                try:
+                    self.store.put(job, report_json)
+                except Exception as exc:  # noqa: BLE001 — serve from memory
+                    job.error = _error_doc("store", type(exc).__name__,
+                                           str(exc))
 
 
 def _error_doc(stage, exc_type, message):

@@ -43,6 +43,11 @@ def _bad_result(value):
     return "structurally-wrong"
 
 
+def _sleep_echo(seconds):
+    time.sleep(seconds)
+    return ("ok", seconds)
+
+
 def _drain(supervisor):
     finished = []
     while True:
@@ -210,6 +215,24 @@ def test_cancelled_tasks_are_never_surfaced():
     drop.cancel()
     keep.cancel()
     assert keep.done
+
+
+def test_a_finished_task_is_collected_without_waiting_for_its_sibling():
+    """``wait_any`` returns a short task as soon as it finishes, not
+    after the slowest running sibling or a whole heartbeat."""
+    supervisor = Supervisor(2, SupervisionPolicy(), stage="t-first")
+    # warm both workers so the timing below excludes worker start-up
+    warm = [supervisor.submit(_sleep_echo, 0.05, key=k) for k in (0, 1)]
+    _drain(supervisor)
+    assert all(task.done for task in warm)
+    slow = supervisor.submit(_sleep_echo, 2.0, key=2)
+    fast = supervisor.submit(_sleep_echo, 0.01, key=3)
+    started = time.monotonic()
+    finished = supervisor.wait_any()
+    elapsed = time.monotonic() - started
+    assert finished == [fast] and fast.result == ("ok", 0.01)
+    assert elapsed < 0.1, elapsed
+    assert _drain(supervisor) == [slow] and slow.done
 
 
 def test_many_tasks_one_faulted_key_only_disturbs_that_key():

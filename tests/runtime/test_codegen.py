@@ -1,11 +1,12 @@
 """The instruction compiler against a reference tree walker.
 
 Random expression and lvalue trees over locals, globals, structs and
-arrays are compiled with and without uses/defs tracking and run on
-identical fresh executions.  Both closures must agree with ``walk`` —
-a direct tree walk written here as the reference semantics — on the
-value, the fault class and message, and the resulting machine state;
-the tracking closure's uses and defs must equal the walker's.
+arrays are compiled (expressions with and without uses/defs tracking,
+stores with it) and run on identical fresh executions.  Every closure
+must agree with ``walk`` — a direct tree walk written here as the
+reference semantics — on the value, the fault class and message, and
+the resulting machine state; a tracking closure's uses and defs must
+equal the walker's.
 """
 
 import functools
@@ -228,16 +229,13 @@ def check_store(target, value):
     ref_uses, ref_defs = [], []
     expected = outcome(lambda: walk_store(ref_ex, ref_frame, target, value,
                                           ref_uses, ref_defs))
-    for track in (True, False):
-        ex, thread, frame = fresh()
-        effects = StepEffects(thread="t0", step=0, pc=0, op=None) \
-            if track else None
-        store = compile_store(target, track)
-        assert outcome(lambda: store(ex, thread, frame, effects, value)) \
-            == expected
-        assert state(ex, frame) == state(ref_ex, ref_frame)
-        if track:
-            assert (effects.uses, effects.defs) == (ref_uses, ref_defs)
+    ex, thread, frame = fresh()
+    effects = StepEffects(thread="t0", step=0, pc=0, op=None)
+    store = compile_store(target)
+    assert outcome(lambda: store(ex, thread, frame, effects, value)) \
+        == expected
+    assert state(ex, frame) == state(ref_ex, ref_frame)
+    assert (effects.uses, effects.defs) == (ref_uses, ref_defs)
 
 
 @settings(max_examples=400, deadline=None)
