@@ -30,6 +30,10 @@ from .index import (
 )
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def get_loop_count(instr, frame_dump, current_pc, compiled):
     """Recover the live iteration count of the loop headed by ``instr``.
 
@@ -51,6 +55,10 @@ def get_loop_count(instr, frame_dump, current_pc, compiled):
                 "induction variable %r missing from frame %s"
                 % (instr.counter_var, frame_dump.func))
         current = frame_dump.locals[instr.counter_var]
+        if not _is_int(current):
+            raise IndexingError(
+                "induction variable %r of frame %s is %r, not an int"
+                % (instr.counter_var, frame_dump.func, current))
         start = instr.counter_start.value
         step = instr.counter_step.value
         if step == 0:
@@ -70,6 +78,9 @@ def get_loop_count(instr, frame_dump, current_pc, compiled):
             "while-loop at pc %d has no live counter: the program must be "
             "built with loop instrumentation (instrument_loops=True)"
             % instr.pc)
+    if not _is_int(counter):
+        raise IndexingError("while-loop counter at pc %d of frame %s is %r, "
+                            "not an int" % (instr.pc, frame_dump.func, counter))
     return counter
 
 
@@ -140,11 +151,17 @@ def reverse_engineer_index(dump, analysis):
     if not thread.frames:
         raise IndexingError("failing thread %s has no frames in dump"
                             % dump.failing_thread)
+    for frame in thread.frames:
+        if not (_is_int(frame.pc) and 0 <= frame.pc < len(compiled.instrs)):
+            raise IndexingError("frame %s of thread %s has pc %r, not a pc "
+                                "of the program" % (frame.func,
+                                                    dump.failing_thread,
+                                                    frame.pc))
     failure_pc = dump.failure_pc
     top = thread.top_frame
     if top.pc != failure_pc:
         raise IndexingError(
-            "dump inconsistency: top frame pc %d != failure pc %d"
+            "dump inconsistency: top frame pc %d != failure pc %r"
             % (top.pc, failure_pc))
 
     reversed_entries = []  # innermost-first

@@ -16,19 +16,16 @@ from ..runtime.interpreter import Execution
 class ProgramBundle:
     """Compiled + analyzed form of one subject program.
 
-    ``block_exec`` sets the default execution granularity of executions
-    built through :meth:`execution` (overridable per call); the
-    partition itself is shared by both modes and cached on the compiled
-    program.
+    The superblock partition is shared by both execution granularities
+    and cached on the compiled program; ``block_table`` installs a
+    pre-built one.
     """
 
-    def __init__(self, program, max_steps=1_000_000, block_exec=True,
-                 block_table=None):
+    def __init__(self, program, max_steps=1_000_000, block_table=None):
         self.program = program
         self.compiled = lower_program(program)
         self.analysis = StaticAnalysis(self.compiled)
         self.max_steps = max_steps
-        self.block_exec = block_exec
         if block_table is not None:
             self.compiled._block_table = block_table
 
@@ -42,21 +39,20 @@ class ProgramBundle:
         return block_table_for(self.compiled, self.analysis)
 
     def execution(self, scheduler, input_overrides=None, instrument_loops=True,
-                  hooks=(), max_steps=None, use_blocks=None):
+                  hooks=(), max_steps=None, use_blocks=True):
         """A fresh execution of the program under ``scheduler``.
 
-        ``use_blocks`` overrides the bundle's ``block_exec`` default;
+        ``use_blocks=False`` runs it at instruction granularity;
         hook-bearing executions fall back to instruction granularity
         inside the interpreter regardless.
         """
-        enabled = self.block_exec if use_blocks is None else use_blocks
         return Execution(
             self.compiled, self.analysis, scheduler,
             input_overrides=input_overrides,
             instrument_loops=instrument_loops,
             hooks=hooks,
             max_steps=max_steps or self.max_steps,
-            blocks=self.block_table if enabled else None,
+            blocks=self.block_table if use_blocks else None,
         )
 
     def thread_names(self):

@@ -529,7 +529,6 @@ class ReproSession:
                 replay_max_checkpoints=config.replay_max_checkpoints,
                 replay_max_bytes=config.replay_max_bytes,
                 step_map=step_map,
-                block_exec=config.block_exec,
                 block_table=(self.bundle.block_table
                              if config.block_exec else None),
             )

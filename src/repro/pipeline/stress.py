@@ -80,7 +80,7 @@ def _attempt(bundle, seed, input_overrides, expected_kind, expected_pc,
 
 def stress_test(bundle, input_overrides=None, seeds=None, expected_kind=None,
                 expected_pc=None, switch_prob=0.3, instrument_loops=True,
-                workers=1, use_blocks=None, supervision=None):
+                workers=1, use_blocks=True, supervision=None):
     """Run under random interleavings until the expected failure appears.
 
     ``expected_kind``/``expected_pc`` restrict which failure counts as
@@ -133,22 +133,23 @@ class StressWorkerSpec:
 
     program: object
     max_steps: int
-    block_exec: bool
-    block_table: object    # the driver's partition: workers skip it
+    #: the driver's partition (workers skip building it), or None for
+    #: instruction-granularity runs
+    block_table: object
     attempt_args: tuple    # _attempt's arguments after the seed
 
 
 def _stress_context(spec):
-    return ProgramBundle(spec.program, max_steps=spec.max_steps,
-                         block_exec=spec.block_exec,
-                         block_table=spec.block_table), spec.attempt_args
+    return (ProgramBundle(spec.program, max_steps=spec.max_steps,
+                          block_table=spec.block_table),
+            spec.attempt_args, spec.block_table is not None)
 
 
 def _stress_run(context, seed):
     """``(qualifies, hung-state kind or None)`` of one worker-side run."""
-    bundle, attempt_args = context
+    bundle, attempt_args, use_blocks = context
     _execution, result, qualifies = _attempt(bundle, seed, *attempt_args,
-                                             use_blocks=None)
+                                             use_blocks=use_blocks)
     return qualifies, None if qualifies else _observation(result)
 
 
@@ -157,11 +158,9 @@ def _qualified(outcome):
 
 
 def _stress_spec(bundle, use_blocks, attempt_args):
-    block_exec = bundle.block_exec if use_blocks is None else use_blocks
     return StressWorkerSpec(
         program=bundle.program, max_steps=bundle.max_steps,
-        block_exec=block_exec,
-        block_table=bundle.block_table if block_exec else None,
+        block_table=bundle.block_table if use_blocks else None,
         attempt_args=attempt_args)
 
 

@@ -19,26 +19,30 @@ compiles the program once: :meth:`Execution.step`, which hooks observe,
 runs *traced* closures that record uses and defs, and
 :meth:`Execution.run_chain` runs *emitted* Python, one generated
 function per IR function that runs a whole chain of blocks in a single
-frame and records none.  :meth:`Execution.run` resolves hook and
-scheduler-observer methods once per run.
+frame and records none.
 
-Block execution (the macro-step path)
--------------------------------------
+One scheduling loop
+-------------------
 
-When an execution is given a :class:`~repro.lang.blocks.BlockTable` and
-carries no hooks, :meth:`Execution.run` switches to a block-granularity
-loop for schedulers that support it: one scheduler pick drives a whole
-*chain* of superblocks (:meth:`Execution.run_chain`), with one batched
-effects summary, scheduler observation only at chain boundaries, and the
-region-stack bookkeeping skipped at every pc where it provably cannot
-fire.  Chains break exactly at the points where a scheduler's
+:meth:`Execution.run` is the only pick -> execute -> observe loop in the
+package.  Each pick runs either one hooked instruction
+(:meth:`Execution.step`) or, when the execution has a
+:class:`~repro.lang.blocks.BlockTable`, no hooks and a scheduler that
+supports it (:meth:`Execution.block_mode`), a whole *chain* of
+superblocks (:meth:`Execution.run_chain`): one batched effects summary,
+scheduler observation only at chain boundaries, and the region-stack
+bookkeeping skipped at every pc where it provably cannot fire.
+``run(until=k)`` stops at exactly step ``k`` in either granularity,
+still RUNNING; the replay engine records its prefixes that way.
+
+Chains break exactly at the points where a scheduler's
 instruction-mode decision could differ from "continue the same thread":
 before an ``ACQUIRE`` (the pick may block or redirect), immediately
 after any sync instruction (the observer must see it before the next
-pick), on thread exit or failure, and at the step budget.  A thread
-the scheduler reports *settled* runs through sync points (the observer
-gets them in order) and breaks before an ``ACQUIRE`` only when another
-thread holds the lock.  Schedulers participate through optional
+pick), on thread exit or failure, and at the step budget or ``until``.
+A thread the scheduler reports *settled* runs through sync points (the
+observer gets them in order) and breaks before an ``ACQUIRE`` only when
+another thread holds the lock.  Schedulers participate through optional
 attributes:
 
 ``block_granular = True``
@@ -272,8 +276,7 @@ class Execution:
         ``ACQUIRE``, right after any sync instruction (so the observer
         processes it before the next pick), on failure, thread exit, a
         pending scheduler switch, the ``max_steps`` budget, or after
-        ``limit`` steps (used by the replay engine to stop at checkpoint
-        steps).  A ``settled`` thread runs on through sync points and
+        ``limit`` steps (how :meth:`run` stops at ``until``).  A ``settled`` thread runs on through sync points and
         breaks before an ``ACQUIRE`` only when another thread holds the
         lock.  Returns one batched :class:`StepEffects` summary whose
         ``batch`` counts the executed instructions and ``syncs`` lists
@@ -347,49 +350,6 @@ class Execution:
             thread.instr_count += effects.batch
         return effects
 
-    def _run_blocks(self, commit):
-        """The block-granularity run loop (one pick per chain)."""
-        scheduler = self.scheduler
-        observe = getattr(scheduler, "observe", None)
-        settled = getattr(scheduler, "settled", None)
-        pick = scheduler.pick
-        try:
-            while self.status == ExecutionStatus.RUNNING:
-                runnable = self.runnable_threads()
-                if not runnable:
-                    if self.live_threads():
-                        self.status = ExecutionStatus.DEADLOCK
-                        self.failure = deadlock_failure(self)
-                    else:
-                        self.status = ExecutionStatus.COMPLETED
-                    break
-                self.sched_picks += 1
-                name = pick(self, runnable)
-                if name not in runnable:
-                    raise InterpreterError(
-                        "scheduler picked non-runnable thread %r" % (name,))
-                effects = self.run_chain(
-                    name, runnable, commit,
-                    settled=settled is not None and settled(name))
-                if observe is not None:
-                    observe(self, effects)
-                if self.failure is not None:
-                    break
-                if self.step_count >= self.max_steps:
-                    self.status = ExecutionStatus.STOPPED
-                    self.stop_reason = "max-steps"
-                    if self.live_threads():
-                        self.failure = hang_failure(self)
-                    break
-        except StopExecution as stop:  # pragma: no cover - hookless path
-            self.status = ExecutionStatus.STOPPED
-            self.stop_reason = stop.reason
-            self.stop_payload = stop.payload
-        return RunResult(status=self.status, failure=self.failure,
-                         steps=self.step_count, output=list(self.output),
-                         stop_reason=self.stop_reason,
-                         stop_payload=self.stop_payload)
-
     def block_mode(self):
         """Can this run macro-step?  (blocks installed, no hooks, and a
         scheduler that is either block-granular or commit-capable.)"""
@@ -402,35 +362,36 @@ class Execution:
 
     def _bound_hook_methods(self, name):
         """Pre-resolved ``name`` methods of the hooks, in hook order."""
-        methods = []
-        for hook in self.hooks:
-            method = getattr(hook, name, None)
-            if method is not None:
-                methods.append(method)
-        return methods
+        methods = (getattr(hook, name, None) for hook in self.hooks)
+        return [method for method in methods if method is not None]
 
-    def run(self):
-        """Drive the execution to completion, failure, deadlock, or stop.
+    def run(self, until=None):
+        """Drive the execution until it completes, fails, deadlocks or
+        stops; with ``until``, stop earlier at exactly that step count,
+        still RUNNING, so that a later ``run`` resumes it.
 
-        With a block table, no hooks, and a block-capable scheduler the
-        run macro-steps at block granularity (byte-identical outcomes,
-        far fewer scheduler dispatches); otherwise hook and
-        scheduler-observer methods are resolved once up front and the
-        per-step loop only calls pre-bound callables (hooks must be
-        fully installed before ``run`` is entered).
+        This is the one scheduling loop: each pick runs a whole block
+        chain when :meth:`block_mode` holds (byte-identical outcomes,
+        far fewer scheduler dispatches) and one hooked :meth:`step`
+        otherwise.  Hook and scheduler methods are resolved once up
+        front (hooks must be fully installed before ``run`` is entered).
         """
-        if self.block_mode():
-            return self._run_blocks(
-                getattr(self.scheduler, "block_commit", None))
+        scheduler = self.scheduler
+        pick = scheduler.pick
+        observe = getattr(scheduler, "observe", None)
+        chains = self.block_mode()
+        commit = getattr(scheduler, "block_commit", None) if chains else None
+        settled = getattr(scheduler, "settled", None) if chains else None
         before_hooks = self._bound_hook_methods("on_before_step")
         after_hooks = self._bound_hook_methods("on_after_step")
         failure_hooks = self._bound_hook_methods("on_failure")
-        observe = getattr(self.scheduler, "observe", None)
-        pick = self.scheduler.pick
         instrs = self._instrs
         threads = self.threads
+        budget = self.max_steps if until is None else until
         try:
             while self.status == ExecutionStatus.RUNNING:
+                if until is not None and self.step_count >= until:
+                    break
                 runnable = self.runnable_threads()
                 if not runnable:
                     if self.live_threads():
@@ -444,9 +405,14 @@ class Execution:
                 if name not in runnable:
                     raise InterpreterError(
                         "scheduler picked non-runnable thread %r" % (name,))
-                for before in before_hooks:
-                    before(self, name, instrs[threads[name].pc])
-                effects = self.step(name)
+                if chains:
+                    effects = self.run_chain(
+                        name, runnable, commit, budget - self.step_count,
+                        settled is not None and settled(name))
+                else:
+                    for before in before_hooks:
+                        before(self, name, instrs[threads[name].pc])
+                    effects = self.step(name)
                 if observe is not None:
                     observe(self, effects)
                 if self.failure is not None:

@@ -64,12 +64,6 @@ class DeterministicScheduler:
     def observe(self, execution, effects):
         self.current = effects.thread
 
-    def snapshot(self):
-        return self.current
-
-    def restore(self, state):
-        self.current = state
-
 
 class MulticoreScheduler:
     """Seeded random interleaving with bursty affinity.
@@ -133,16 +127,6 @@ class MulticoreScheduler:
 
     def observe(self, execution, effects):
         self.current = effects.thread
-
-    def snapshot(self):
-        """Full mid-run state: RNG, current thread, pending pick."""
-        return (self._rng.getstate(), self.current, self._pending_pick)
-
-    def restore(self, state):
-        rng_state, current, pending = state
-        self._rng.setstate(rng_state)
-        self.current = current
-        self._pending_pick = pending
 
 
 class ScriptedScheduler:

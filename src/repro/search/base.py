@@ -124,6 +124,26 @@ class SearchOutcome:
             self.executed_steps, saved, self.wall_seconds)
 
 
+def run_plan(plan, execution_factory, engine):
+    """One testrun of ``plan``: ``(result, skipped, executed)``.
+
+    With a replay ``engine`` the run resumes from the checkpoint at the
+    plan's earliest preemption; ``skipped`` is that restored prefix and
+    ``executed`` every step physically interpreted for the run, including
+    the steps the engine spent recording prefixes since its last drain.
+    """
+    scheduler = PreemptingScheduler(plan)
+    if engine is not None:
+        execution, skipped = engine.resume(scheduler, plan)
+    else:
+        execution, skipped = execution_factory(scheduler), 0
+    result = execution.run()
+    executed = result.steps - skipped
+    if engine is not None:
+        executed += engine.drain_recording_steps()
+    return result, skipped, executed
+
+
 class ScheduleSearchBase:
     """Common testrun driver: executes planned-preemption schedules.
 
@@ -181,11 +201,9 @@ class ScheduleSearchBase:
     def testrun(self, plan):
         """Execute one schedule; returns (reproduced, RunResult).
 
-        With a replay engine the run resumes from the plan's earliest
-        preemption checkpoint (``resume_from`` path); the replayed
-        prefix counts into ``skipped_steps``, and any steps the engine
-        spent recording prefixes for this run are drained into
-        ``executed_steps`` so the savings are reported honestly.
+        The run goes through :func:`run_plan`: a replayed prefix counts
+        into ``skipped_steps`` and the engine's recording steps into
+        ``executed_steps``, so the savings are reported honestly.
 
         With a memo, a plan an earlier strategy already ran is served
         from its cached result — same ``tries``/``total_steps``
@@ -201,17 +219,10 @@ class ScheduleSearchBase:
                 reproduced = matches_failure_signature(
                     entry.failure, self.target_signature)
                 return reproduced, entry
-        scheduler = PreemptingScheduler(plan)
-        engine = self.replay_engine
-        if engine is not None:
-            execution, resume_from = engine.resume(scheduler, plan)
-        else:
-            execution, resume_from = self.execution_factory(scheduler), 0
-        result = execution.run()
-        self._account(plan, result.steps, skipped=resume_from)
-        self.executed_steps += result.steps - resume_from
-        if engine is not None:
-            self.executed_steps += engine.drain_recording_steps()
+        result, skipped, executed = run_plan(plan, self.execution_factory,
+                                             self.replay_engine)
+        self._account(plan, result.steps, skipped=skipped)
+        self.executed_steps += executed
         # a run that ends DEADLOCK (or STOPPED with a hang classification)
         # carries a structured failure too — memoize and match it exactly
         # like a crash, so hung schedules count as reproductions

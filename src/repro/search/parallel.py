@@ -19,8 +19,7 @@ from typing import Optional
 
 from ..coredump.compare import matches_failure_signature
 from ..exec.fanout import first_match
-from .base import MemoEntry, SearchOutcome, plan_fingerprint
-from .preemption import PreemptingScheduler
+from .base import MemoEntry, SearchOutcome, plan_fingerprint, run_plan
 from .replay import ReplayEngine
 
 #: Upper bound on plans per shard; beyond this, dispatch overhead is
@@ -51,11 +50,10 @@ class WorkerSessionSpec:
     #: ((thread, kind, lock, occurrence), step) pairs — the restore
     #: points of the worker's replay engine
     step_map: tuple
-    #: macro-step testruns at block granularity (must match the driver
-    #: so worker-side executions are the driver's exact twins)
-    block_exec: bool
     #: the driver's compiled :class:`~repro.lang.blocks.BlockTable`
-    #: (plain lists, cheap to pickle) so workers skip re-partitioning
+    #: (plain lists, cheap to pickle) so workers skip re-partitioning,
+    #: or None: worker testruns then run at instruction granularity,
+    #: like the driver's
     block_table: object
 
 
@@ -76,13 +74,14 @@ class _WorkerContext:
         # imported here: pipeline imports the search package, so a
         # module-level import would be circular
         from ..pipeline.bundle import ProgramBundle
-        bundle = ProgramBundle(spec.program, block_exec=spec.block_exec,
-                               block_table=spec.block_table)
+        bundle = ProgramBundle(spec.program, block_table=spec.block_table)
+        use_blocks = spec.block_table is not None
 
         def factory(scheduler):
             return bundle.execution(scheduler,
                                     input_overrides=spec.input_overrides,
-                                    max_steps=spec.max_steps)
+                                    max_steps=spec.max_steps,
+                                    use_blocks=use_blocks)
 
         self.factory = factory
         self.engine = None
@@ -96,23 +95,15 @@ class _WorkerContext:
 def _testrun(ctx, plan):
     """One worker-side testrun.
 
-    Mirrors :meth:`ScheduleSearchBase.testrun` exactly — same scheduler,
-    same replay resume, same honest step accounting — minus the search
-    bookkeeping, which the driver reconstructs.  Hung runs (deadlock /
-    budget hang) carry a structured failure too, so the hit test matches
-    deadlock cycles exactly like crash PCs.
+    The same :func:`~repro.search.base.run_plan` as
+    :meth:`ScheduleSearchBase.testrun`, minus the search bookkeeping,
+    which the driver reconstructs.  Hung runs (deadlock / budget hang)
+    carry a structured failure too, so the hit test matches deadlock
+    cycles exactly like crash PCs.
     """
-    scheduler = PreemptingScheduler(plan)
-    if ctx.engine is not None:
-        execution, resumed = ctx.engine.resume(scheduler, plan)
-    else:
-        execution, resumed = ctx.factory(scheduler), 0
-    result = execution.run()
-    executed = result.steps - resumed
-    if ctx.engine is not None:
-        executed += ctx.engine.drain_recording_steps()
+    result, skipped, executed = run_plan(plan, ctx.factory, ctx.engine)
     return ShardRun(steps=result.steps, failure=result.failure,
-                    executed=executed, skipped=resumed)
+                    executed=executed, skipped=skipped)
 
 
 def _reproduces(target, run):

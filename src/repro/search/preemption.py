@@ -255,26 +255,6 @@ class PreemptingScheduler:
 
     # -- restorability -------------------------------------------------------
 
-    def snapshot(self):
-        """Full mid-run state, restorable with :meth:`restore`."""
-        return {
-            "pending": list(self.pending),
-            "current": self.current,
-            "started": set(self.started),
-            "counters": dict(self.counters),
-            "forced_next": self.forced_next,
-            "fired": list(self.fired),
-        }
-
-    def restore(self, state):
-        """Reset to a state captured by :meth:`snapshot`."""
-        self.pending = list(state["pending"])
-        self.current = state["current"]
-        self.started = set(state["started"])
-        self.counters = dict(state["counters"])
-        self.forced_next = state["forced_next"]
-        self.fired = list(state["fired"])
-
     def restore_prefix(self, prefix):
         """Adopt a deterministic-prefix state (replay-engine resume).
 

@@ -173,9 +173,7 @@ class ReplayEngine:
     def __init__(self, execution_factory, candidates, max_checkpoints=64,
                  max_bytes=64 * 1024 * 1024):
         self.execution_factory = execution_factory
-        self._step_by_key = {c.key(): c.step for c in candidates}
-        self._restore_step_set = set(self._step_by_key.values())
-        self._sorted_restore_steps = sorted(self._restore_step_set)
+        self._use_step_map({c.key(): c.step for c in candidates})
         self.cache = CheckpointCache(max_entries=max_checkpoints,
                                      max_bytes=max_bytes)
         #: cumulative interpreter steps spent recording prefixes
@@ -196,10 +194,13 @@ class ReplayEngine:
         """
         engine = cls(execution_factory, (), max_checkpoints=max_checkpoints,
                      max_bytes=max_bytes)
-        engine._step_by_key = dict(step_map)
-        engine._restore_step_set = set(engine._step_by_key.values())
-        engine._sorted_restore_steps = sorted(engine._restore_step_set)
+        engine._use_step_map(step_map)
         return engine
+
+    def _use_step_map(self, step_map):
+        self._step_by_key = dict(step_map)
+        #: every step a plan can restore at, ascending
+        self._restore_steps = sorted(set(self._step_by_key.values()))
 
     def step_map(self):
         """The candidate ``key -> step`` mapping (picklable)."""
@@ -261,8 +262,13 @@ class ReplayEngine:
         """The cache entry for ``step``, recording it if absent.
 
         Recording resumes from the nearest cached predecessor (or from
-        scratch) and opportunistically captures every candidate step it
-        passes, so a cold cache warms up in one pass.
+        scratch) and runs the deterministic schedule through
+        :meth:`Execution.run`, stopping at every restore step on the way
+        to capture it — a cold cache warms up in one pass.  Checkpoints
+        are taken *before* the instruction at a candidate step executes,
+        the state every testrun restored there expects.  Returns None
+        when the deterministic run ends first (a plan referencing a step
+        the passing run never reaches falls back to scratch execution).
         """
         entry = self.cache.get(step)
         if entry is not None:
@@ -277,69 +283,20 @@ class ReplayEngine:
         if base is not None:
             restore_checkpoint(execution, base.checkpoint)
             scheduler.restore_prefix(base.prefix)
-        return self._record_until(execution, scheduler, step)
-
-    def _next_stop(self, step_count, target_step):
-        """The next step the recording run must halt at (checkpoint or
-        target), strictly after ``step_count``; None when past all."""
-        steps = self._sorted_restore_steps
-        i = bisect_right(steps, step_count)
-        nxt = steps[i] if i < len(steps) else None
-        if target_step > step_count and (nxt is None or target_step < nxt):
-            return target_step
-        return nxt
-
-    def _record_until(self, execution, scheduler, target_step):
-        """Drive the deterministic run to ``target_step``, capturing.
-
-        Checkpoints are taken *before* the instruction at a candidate
-        step executes — the state every testrun restored there expects.
-        Returns the entry for ``target_step``, or None when the
-        deterministic run ends first (a plan referencing a step the
-        passing run never reaches falls back to scratch execution).
-
-        When the execution macro-steps (block table installed, no
-        hooks), the run is driven as block chains clipped at the next
-        checkpoint step — candidate steps are block heads, so the clip
-        is a safety net, and the recorded prefix (state, scheduler
-        prefix, step accounting) is byte-identical to per-instruction
-        recording.
-        """
-        wanted = self._restore_step_set
-        chains = (execution.blocks is not None and not execution.hooks
-                  and getattr(scheduler, "block_granular", False))
+        steps = self._restore_steps
         while True:
-            step_count = execution.step_count
-            if step_count == target_step:
-                # __contains__ is uncounted: the caller's get() already
-                # booked this lookup's miss
-                if target_step in self.cache:
-                    return self.cache.get(target_step)
-                return self._capture(execution, scheduler)
-            if step_count > 0 and step_count in wanted \
-                    and step_count not in self.cache:
-                self._capture(execution, scheduler)
-            if execution.status != ExecutionStatus.RUNNING:
-                return None
-            runnable = execution.runnable_threads()
-            if not runnable:
-                return None
-            execution.sched_picks += 1
-            name = scheduler.pick(execution, runnable)
-            if chains:
-                stop = self._next_stop(step_count, target_step)
-                limit = None if stop is None else stop - step_count
-                effects = execution.run_chain(name, runnable, limit=limit)
-                advanced = effects.batch
-            else:
-                effects = execution.step(name)
-                advanced = 1
-            scheduler.observe(execution, effects)
+            at = execution.step_count
+            # on to the next restore step (``step`` is one: none is skipped)
+            execution.run(until=steps[bisect_right(steps, at)])
+            advanced = execution.step_count - at
             self.recording_steps += advanced
             self._undrained_recording_steps += advanced
-            if execution.failure is not None \
-                    or execution.step_count >= execution.max_steps:
+            if execution.status != ExecutionStatus.RUNNING:
                 return None
+            if execution.step_count == step:
+                return self._capture(execution, scheduler)
+            if execution.step_count not in self.cache:
+                self._capture(execution, scheduler)
 
     def _capture(self, execution, scheduler):
         checkpoint = take_checkpoint(execution)

@@ -221,60 +221,3 @@ def test_step_budget_hang_failure_identical():
         # no thread blocked: budget exhaustion, not a wedge — no cycle
         assert ra.failure.cycle is None
         assert ra.failure == rb.failure
-
-
-def test_multicore_scheduler_snapshot_restore_round_trip():
-    """Regression (satellite): the multicore scheduler must round-trip
-    its RNG (and pending-pick) state through snapshot/restore — it
-    carries mutable state just like the deterministic scheduler, but
-    previously offered no snapshot support at all."""
-    scheduler = MulticoreScheduler(seed=7)
-    runnable = ["T1", "T2", "T3"]
-    for _ in range(5):
-        scheduler.pick(None, runnable)
-    state = scheduler.snapshot()
-    ahead = [scheduler.pick(None, runnable) for _ in range(20)]
-    scheduler.restore(state)
-    replay = [scheduler.pick(None, runnable) for _ in range(20)]
-    assert replay == ahead
-    # commit state (a parked pending pick) must round-trip too
-    scheduler.restore(state)
-    committed = scheduler.block_commit(None, runnable, "T1", 50, True)
-    assert committed < 50  # seed 7 switches within 50 draws
-    mid = scheduler.snapshot()
-    ahead = [scheduler.pick(None, runnable) for _ in range(10)]
-    scheduler.restore(mid)
-    assert [scheduler.pick(None, runnable) for _ in range(10)] == ahead
-
-
-def test_multicore_snapshot_resumes_mid_run():
-    """A snapshot taken mid-run resumes the exact interleaving suffix."""
-    bundle = bundle_for("fig1")
-
-    def drive(scheduler, execution, steps):
-        picks = []
-        for _ in range(steps):
-            runnable = execution.runnable_threads()
-            if not runnable:
-                break
-            name = scheduler.pick(execution, runnable)
-            picks.append(name)
-            effects = execution.step(name)
-            scheduler.observe(execution, effects)
-        return picks
-
-    # reference run: 10-step prefix, snapshot, 30-step suffix
-    scheduler = MulticoreScheduler(seed=3)
-    execution = bundle.execution(scheduler, use_blocks=False)
-    drive(scheduler, execution, 10)
-    state = scheduler.snapshot()
-    suffix = drive(scheduler, execution, 30)
-    # second run: identical 10-step prefix (same seed, deterministic),
-    # then a scheduler restored from the snapshot — even one seeded
-    # differently — must reproduce the suffix picks exactly
-    replayed = MulticoreScheduler(seed=999)
-    execution2 = bundle.execution(MulticoreScheduler(seed=3),
-                                  use_blocks=False)
-    drive(execution2.scheduler, execution2, 10)
-    replayed.restore(state)
-    assert drive(replayed, execution2, 30) == suffix

@@ -322,7 +322,7 @@ def test_worker_specs_still_pickle_after_a_run():
     spec = session.worker_spec()
     assert spec is not None
     assert pickle.loads(pickle.dumps(spec)).program.name == "fig1"
-    stress_spec = _stress_spec(bundle, None, (scenario.input_overrides,
+    stress_spec = _stress_spec(bundle, True, (scenario.input_overrides,
                                               scenario.expected_fault, None,
                                               0.3, True))
     blob = pickle.dumps(stress_spec)

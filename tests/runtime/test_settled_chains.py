@@ -67,7 +67,10 @@ def outcome(execution, result, scheduler):
                                        failing_thread=anchor))
     counters = {name: (thread.instr_count, thread.started_at)
                 for name, thread in execution.threads.items()}
-    return result, dump, counters, scheduler.snapshot()
+    state = {name: getattr(scheduler, name)
+             for name in ("pending", "current", "started", "counters",
+                          "forced_next", "fired")}
+    return result, dump, counters, state
 
 
 def run_plan(bundle, overrides, plan, use_blocks, cls=PreemptingScheduler):
