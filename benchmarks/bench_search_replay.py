@@ -396,10 +396,10 @@ EXEC_CORE_DISPATCH_BAR = 3.0
 
 def _timed_stress_sweep(scenario, bundle, seed, use_blocks):
     """Re-run the dump-acquisition sweep (seeds 0..failing) one mode."""
-    picks = commits = steps = 0
+    picks = steps = 0
     wall = None
     for _ in range(EXEC_CORE_REPEATS):
-        picks = commits = steps = 0
+        picks = steps = 0
         start = time.perf_counter()
         for s in range(seed + 1):
             execution = bundle.execution(
@@ -408,14 +408,12 @@ def _timed_stress_sweep(scenario, bundle, seed, use_blocks):
                 use_blocks=use_blocks)
             result = execution.run()
             picks += execution.sched_picks
-            commits += execution.sched_commits
             steps += result.steps
         elapsed = time.perf_counter() - start
         wall = elapsed if wall is None or elapsed < wall else wall
     return {
         "steps": steps,
         "sched_picks": picks,
-        "sched_commits": commits,
         "wall_s": round(wall, 4),
         "steps_per_s": int(steps / wall) if wall else 0,
     }
@@ -443,7 +441,6 @@ def _timed_search_suite(scenario, bundle, dump, use_blocks):
     wall = time.perf_counter() - start
     return {
         "sched_picks": sum(e.sched_picks for e in executions),
-        "sched_commits": sum(e.sched_commits for e in executions),
         "executed_steps": sum(o.executed_steps for o in outcomes.values()),
         "total_steps": sum(o.total_steps for o in outcomes.values()),
         "wall_s": round(wall, 4),

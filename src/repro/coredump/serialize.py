@@ -37,14 +37,25 @@ def _encode_value(value):
     raise DumpError("unserializable value %r" % (value,))
 
 
-def _decode_value(value):
-    if isinstance(value, dict):
-        if "$ptr" in value:
-            return Pointer(value["$ptr"])
-        if "$bigint" in value:
+def _decode_value(value, path, key):
+    """A cell's value; a malformed one is a :class:`DumpError` naming
+    the cell as ``path.key``."""
+    if not isinstance(value, dict):
+        return value
+    if "$ptr" in value:
+        obj_id = value["$ptr"]
+        if obj_id is None or type(obj_id) is int:
+            return Pointer(obj_id)
+    elif isinstance(value.get("$bigint"), str):
+        try:
             return int(value["$bigint"], 16)
-        raise DumpError("unknown encoded value %r" % (value,))
-    return value
+        except ValueError:
+            pass
+    raise DumpError("%s.%s: malformed encoded value %r" % (path, key, value))
+
+
+def _decode_cells(mapping, path):
+    return {k: _decode_value(v, path, k) for k, v in mapping.items()}
 
 
 def _encode_cells(mapping):
@@ -61,11 +72,20 @@ def encode_cycle(cycle):
 
 def decode_cycle(doc):
     """Re-tuple an :func:`encode_cycle` document (hashability matters:
-    the cycle participates in frozen ``Failure`` signatures and KB keys)."""
+    the cycle participates in frozen ``Failure`` signatures and KB keys).
+    Anything but a list of edges is a :class:`DumpError`."""
     if doc is None:
         return None
-    return tuple((thread, tuple(held), wanted, pc)
-                 for thread, held, wanted, pc in doc)
+    try:
+        cycle = tuple((thread, tuple(held), wanted, pc)
+                      for thread, held, wanted, pc in doc)
+        hash(cycle)
+    except (TypeError, ValueError):
+        cycle = None
+    if cycle is None or not isinstance(doc, list):
+        raise DumpError("failure.cycle: not a list of [thread, held, "
+                        "wanted, pc] edges: %r" % (doc,))
+    return cycle
 
 
 def dump_to_json(dump):
@@ -117,8 +137,20 @@ def dump_to_json(dump):
 
 
 def dump_from_json(text):
-    """Parse a JSON core dump back into a :class:`CoreDump`."""
+    """Parse a JSON core dump back into a :class:`CoreDump`; a malformed
+    document is a :class:`DumpError`, naming the field where it can."""
     doc = json.loads(text)
+    try:
+        return _dump_from_doc(doc)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise DumpError("malformed dump: %s: %s"
+                        % (type(exc).__name__, exc)) from None
+
+
+def _dump_from_doc(doc):
+    if not isinstance(doc["failing_thread"], (str, type(None))):
+        raise DumpError("failing_thread: not a thread name: %r"
+                        % (doc["failing_thread"],))
     failure = None
     if doc["failure"] is not None:
         failure = Failure(kind=doc["failure"]["kind"], pc=doc["failure"]["pc"],
@@ -127,21 +159,23 @@ def dump_from_json(text):
                           cycle=decode_cycle(doc["failure"].get("cycle")))
     heap = {}
     for obj_id, entry in doc["heap"].items():
+        path = "heap.%s.payload" % obj_id
         if entry["kind"] == "struct":
-            payload = {k: _decode_value(v) for k, v in entry["payload"].items()}
+            payload = _decode_cells(entry["payload"], path)
         else:
-            payload = [_decode_value(v) for v in entry["payload"]]
+            payload = [_decode_value(v, path, i)
+                       for i, v in enumerate(entry["payload"])]
         heap[int(obj_id)] = (entry["kind"], payload)
     threads = {}
     for name, t in doc["threads"].items():
         frames = [
             FrameDump(uid=f["uid"], func=f["func"], pc=f["pc"],
-                      locals={k: _decode_value(v)
-                              for k, v in f["locals"].items()},
+                      locals=_decode_cells(f["locals"], "threads.%s.frames.%d"
+                                           ".locals" % (name, i)),
                       loop_counters={int(k): v
                                      for k, v in f["loop_counters"].items()},
                       return_to=f["return_to"])
-            for f in t["frames"]
+            for i, f in enumerate(t["frames"])
         ]
         threads[name] = ThreadDump(name=name, status=t["status"],
                                    frames=frames,
@@ -152,7 +186,7 @@ def dump_from_json(text):
         step_count=doc["step_count"],
         failing_thread=doc["failing_thread"],
         failure=failure,
-        globals={k: _decode_value(v) for k, v in doc["globals"].items()},
+        globals=_decode_cells(doc["globals"], "globals"),
         heap=heap,
         lock_owner=doc["lock_owner"],
         threads=threads,

@@ -5,16 +5,19 @@ the compiled program and never pickled.  ``traced[pc]`` is a closure
 that records uses and defs: :meth:`Execution.step` runs it, so hooks
 (tracing, alignment, instcount) see every access.
 :meth:`CodeTable.emitted` generates one Python function per IR function
-that runs a whole commit-free chain of blocks in a single frame and
-records no uses or defs.  It resolves names statically (a name is a
-local iff it is a parameter or not a program global), keeps the step
-count and pc in Python locals, and checks for a chain break only where
-a chain block ends.  Program text enters it only as the ``repr`` of a
-str, int, finite float or bool, or as a name bound in its namespace.
-Code objects are cached process-wide by a digest of their source.
+that runs a whole chain of blocks in a single frame and records no uses
+or defs.  It resolves names statically (a name is a local iff it is a
+parameter or not a program global), keeps the step count and pc in
+Python locals, and applies the scheduler's stop rule itself: a chain
+break where a chain block ends, a sync budget at each sync, and the
+seeded multicore scheduler's draw at every instruction boundary.
+Program text enters it only as the ``repr`` of a str, int, finite float
+or bool, or as a name bound in its namespace.  The emitted functions
+are cached process-wide by a fingerprint of what emission reads.
 """
 
 import math
+import pickle
 import threading
 from hashlib import blake2b
 from operator import add, eq, ge, gt, le, lt, mul, ne, neg, sub
@@ -379,11 +382,23 @@ _SYNC_OPS = (Opcode.ACQUIRE, Opcode.RELEASE)
 _PROLOGUE = ["G = ex.globals", "H = ex.heap", "LT = ex.locks",
              "OWN = LT._owner", "L = fr.locals", "RS = fr.region_stack",
              "tn = th.name"]
+#: the check at an instruction boundary inside a chain: the running
+#: thread's chain ends on a drawn switch (see ``Execution.draw``)
+_DRAW = ["if D and R() < P and SW():", " r = False", " break"]
 
 
 def _indent(lines, depth=1):
     pad = " " * depth  # one space a level keeps deep dispatch trees small
     return [pad + line for line in lines]
+
+
+def _spent(budget, sync):
+    """Count ``sync`` against a chain's budget: True when none of its
+    kind was left, so a plan item matches it and the chain must end."""
+    left = budget.get(sync)
+    if left:
+        budget[sync] = left - 1
+    return left == 0
 
 
 def _reraise(exc, pc, func):
@@ -400,7 +415,7 @@ def _reraise(exc, pc, func):
 
 _NAMESPACE = dict(
     {fn.__name__: fn for fn in (truthy, pop_regions, _field, _index, _put,
-                                _alloc_array, _reraise)},
+                                _alloc_array, _spent, _reraise)},
     NULL=NULL, RegionEntry=RegionEntry, DONE=ThreadStatus.DONE,
     InterpreterError=InterpreterError, AssertionFault=AssertionFault)
 
@@ -482,9 +497,8 @@ class _Emitter:
     def instr(self, pc):
         """The leaf of the dispatch tree at ``pc``: the instruction, the
         step, the next ``pc``, and the stop checks due where a chain
-        block ends: after a sync unless settled, and before an
-        ``ACQUIRE`` unless settled and the lock is free.  ``r = True;
-        break`` leaves after a frame was pushed or popped."""
+        block ends.  ``r = True; break`` leaves after a frame was pushed
+        or popped."""
         i, lit = self.instrs[pc], self.lit
         op = i.op
         out = [] if pc not in self.exits else [
@@ -548,18 +562,22 @@ class _Emitter:
 
     def goto(self, pc, target):
         """Lines moving on from ``pc`` to ``target``, with the stop
-        checks due if ``pc`` ends its chain block."""
+        checks due if ``pc`` ends its chain block: after a sync that
+        ``settled`` (True, or a budget) does not let pass, and before
+        an ``ACQUIRE`` it does not let pass or of a lock another thread
+        holds."""
         out = ["pc = %d" % target]
         if self.span[pc] > 1:
             return out  # the chain block goes on at ``target``
-        unsettled = ["if not settled:", " r = False", " break"]
         if self.instrs[pc].op in _SYNC_OPS:
-            out += unsettled
+            out += ["if settled is not True and (",
+                    "  not settled or _spent(settled, s)):", " r = False",
+                    " break"]
         lock = self.table.acquire_lock[target]
         if lock is not None:
-            if self.instrs[pc].op not in _SYNC_OPS:
-                out += unsettled
-            out += ["o = OWN[%s]" % self.lit(lock),
+            out += ["if settled is not True and (not settled or settled.get("
+                    "('acquire', %s)) == 0):" % self.lit(lock), " r = False",
+                    " break", "o = OWN[%s]" % self.lit(lock),
                     "if o is not None and o != tn:", " r = False", " break"]
         return out
 
@@ -569,7 +587,7 @@ class _Emitter:
         out = self.instr(pc)
         if pc == self.fc.entry_pc or self.span[pc - 1] == 1:
             for nxt in range(pc + 1, pc + self.span[pc]):
-                out += ["if S >= stop:", " break"] + self.instr(nxt)
+                out += ["if S >= stop:", " break"] + _DRAW + self.instr(nxt)
         return out
 
     def tree(self, keys, depth):
@@ -587,9 +605,10 @@ class _Emitter:
         fc, back = self.fc, [" fr.pc = pc", " ex.step_count = S"]
         out = ["def run(ex, th, fr, eff, settled, stop):",
                " pc = fr.pc", " S = ex.step_count"] + _indent(
-            _PROLOGUE + ["r = None", "try:", " while True:"]) + self.tree(
+            _PROLOGUE + ["D = ex.draw", "if D:", " R, P, SW = D", "r = None",
+                         "try:", " while True:"]) + self.tree(
             list(fc.pcs()), 3) + [
-            "   if S >= stop:", "    break",
+            "   if S >= stop:", "    break", *_indent(_DRAW, 3),
             " except BaseException as exc:", *_indent(back),
             "  raise _reraise(exc, pc, FUNC) from None", *back, " return r"]
         for i in self.instrs[fc.entry_pc:fc.end_pc]:
@@ -602,24 +621,9 @@ class _Emitter:
         return "\n".join(out) + "\n"
 
 
-#: emitted code objects by a digest of their source (None: rejected);
-#: process-wide, emptied whenever it holds 512
-_CODES, _CODES_LOCK = {}, threading.Lock()
-
-
-def _compile(source):
-    key = blake2b(source.encode(), digest_size=16).digest()
-    code = _CODES.get(key, False)
-    if code is False:
-        try:
-            code = compile(source, "<emitted>", "exec")
-        except (SyntaxError, RecursionError, MemoryError):
-            code = None  # nested past the parser's limit, say
-        with _CODES_LOCK:
-            if len(_CODES) >= 512:
-                _CODES.clear()
-            _CODES[key] = code
-    return code
+#: emitted ``run`` tables by program fingerprint (None: rejected);
+#: process-wide, emptied whenever it holds 256
+_RUNS, _RUNS_LOCK = {}, threading.Lock()
 
 
 class CodeTable:
@@ -642,14 +646,37 @@ class CodeTable:
 
         ``run(ex, th, fr, eff, settled, stop)`` executes ``fr``'s
         instructions until the step count reaches ``stop``, until a
-        chain block of ``blocks.chain_span`` ends at a stop check
-        (returning False), or until a ``CALL`` or ``RETURN`` (returning
+        chain block of ``blocks.chain_span`` ends at a stop check or
+        ``ex.draw`` draws a switch (returning False; None when the step
+        count stopped it), or until a ``CALL`` or ``RETURN`` (returning
         True).  It leaves ``fr.pc`` and ``ex.step_count`` exact, also
-        when an instruction raises.
+        when an instruction raises.  Programs that emit the same source
+        share one table.
         """
         if self._emitted is False:
-            self._emitted = self._emit(blocks.chain_span)
+            span = blocks.chain_span
+            key = self._fingerprint(span)
+            runs = _RUNS.get(key, False)
+            if runs is False:
+                runs = self._emit(span)
+                with _RUNS_LOCK:
+                    if len(_RUNS) >= 256:
+                        _RUNS.clear()
+                    _RUNS[key] = runs
+            self._emitted = runs
         return self._emitted
+
+    def _fingerprint(self, span):
+        """A digest of everything emission reads (programs pickle: pool
+        workers receive them that way)."""
+        compiled, analysis = self.compiled, self.analysis
+        exits = [analysis.region_exit(instr.pc) for instr in compiled.instrs
+                 if instr.op is Opcode.BRANCH]
+        functions = [(fc.name, fc.params, fc.entry_pc, fc.end_pc)
+                     for fc in compiled.functions.values()]
+        data = pickle.dumps((compiled.instrs, exits, functions, span,
+                             sorted(compiled.program.globals)), protocol=5)
+        return blake2b(data, digest_size=16).digest()
 
     def _emit(self, span):
         exits = {}  # region exit pc -> whether a loop's region exits there
@@ -660,9 +687,10 @@ class CodeTable:
         ret, runs = [None] * len(span), {}
         for fc in self.compiled.functions.values():
             emitter = _Emitter(self, fc, span, exits)
-            code = _compile(emitter.module())
-            if code is None:
-                return None
+            try:
+                code = compile(emitter.module(), "<emitted>", "exec")
+            except (SyntaxError, RecursionError, MemoryError):
+                return None  # nested past the parser's limit, say
             namespace = dict(_NAMESPACE, RET=ret, FUNC=fc.name,
                              **emitter.bound)
             exec(code, namespace)

@@ -40,23 +40,31 @@ instruction-mode decision could differ from "continue the same thread":
 before an ``ACQUIRE`` (the pick may block or redirect), immediately
 after any sync instruction (the observer must see it before the next
 pick), on thread exit or failure, and at the step budget or ``until``.
-A thread the scheduler reports *settled* runs through sync points (the
-observer gets them in order) and breaks before an ``ACQUIRE`` only when
-another thread holds the lock.  Schedulers participate through optional
-attributes:
+The emitted chain code applies each scheduler's stop rule itself, so one
+round trip through :meth:`Execution.run` covers a whole burst.
+Schedulers participate through optional attributes:
 
 ``block_granular = True``
     The scheduler's per-instruction picks provably return the running
     thread at every non-boundary point (deterministic and preempting
     schedulers), so a chain may run to the next boundary outright.
 ``settled(thread)``
-    Every pick would keep choosing ``thread`` until it blocks or exits,
-    and observing would only count its syncs.
-``block_commit(execution, runnable, thread, span, first)``
-    The scheduler commits to a number of consecutive steps of
-    ``thread``, drawing its per-instruction decisions eagerly (the
-    seeded multicore scheduler) so the resulting interleaving is
-    byte-identical to instruction mode.
+    ``True`` when every pick would keep choosing ``thread`` until it
+    blocks or exits: its chain runs through sync points and breaks
+    before an ``ACQUIRE`` only when another thread holds the lock.  Or
+    a budget ``{(kind, lock): n}``: ``n`` such syncs may pass, and the
+    chain breaks after the next release or before the next acquire of
+    a spent key.  The observer then gets the syncs in order.
+``chain_draw()``
+    ``(random, switch_prob, switch)``: the seeded multicore scheduler's
+    per-instruction draw, which the emitted code makes at every
+    instruction boundary inside a chain (and :meth:`Execution.run_chain`
+    at a ``CALL``/``RETURN``): a chain ends when ``switch()`` parks a
+    switch to another thread, so interleavings stay byte-identical to
+    instruction mode.  The runnable set the draw chooses from cannot
+    change inside a chain, and :meth:`Execution.run` keeps it across a
+    chain that did no sync, did not end its thread and did not stop
+    before a held lock.
 
 Everything observable — step counts, per-thread instruction counts,
 region stacks and loop counters (hence execution indices and core
@@ -149,6 +157,9 @@ class Execution:
         self._runs = code.emitted(blocks) if blocks and not hooks else None
         if self._runs is None:
             blocks = None  # runs one traced instruction at a time
+        chain_draw = getattr(scheduler, "chain_draw", None)
+        #: the scheduler's per-instruction draw inside chains, or None
+        self.draw = chain_draw() if chain_draw and blocks else None
         #: per pc, the lock an ``ACQUIRE`` there takes (None elsewhere)
         self.acquire_locks = code.acquire_lock
         self._thread_order = [spec.name for spec in compiled.program.threads]
@@ -156,11 +167,9 @@ class Execution:
         self.hooks = list(hooks)
         self.max_steps = max_steps
         self.blocks = blocks
-        #: scheduler pick count (one per dispatch round-trip) and, for
-        #: commit-style schedulers, block-commit call count — the
-        #: benchmark's dispatch metrics; never fed back into execution
+        #: scheduler pick count (one per dispatch round-trip) — the
+        #: benchmark's dispatch metric; never fed back into execution
         self.sched_picks = 0
-        self.sched_commits = 0
 
         self.heap = Heap()
         self.globals = {}
@@ -221,13 +230,14 @@ class Execution:
         """READY threads not parked at an acquire of a lock another thread
         holds (a self-held one runs and faults), in program order."""
         threads, acquire_locks = self.threads, self.acquire_locks
-        is_free_for = self.locks.is_free_for
+        owner, ready = self.locks._owner, ThreadStatus.READY
         runnable = []
         for name in self._thread_order:
             thread = threads[name]
-            if thread.status is ThreadStatus.READY:
+            if thread.status is ready:
                 lock = acquire_locks[thread.frames[-1].pc]
-                if lock is None or is_free_for(lock, name):
+                # LockTable.is_free_for, inlined
+                if lock is None or owner[lock] is None or owner[lock] == name:
                     runnable.append(name)
         return runnable
 
@@ -267,78 +277,53 @@ class Execution:
 
     # -- block execution (the macro-step path) -------------------------------
 
-    def run_chain(self, thread_name, runnable, commit=None, limit=None,
-                  settled=False):
+    def run_chain(self, thread_name, limit=None, settled=False):
         """Execute one scheduler-atomic chain of ``thread_name``'s blocks.
 
         Runs superblocks back to back under a single scheduler pick,
         breaking exactly where the next pick could matter: before an
         ``ACQUIRE``, right after any sync instruction (so the observer
         processes it before the next pick), on failure, thread exit, a
-        pending scheduler switch, the ``max_steps`` budget, or after
-        ``limit`` steps (how :meth:`run` stops at ``until``).  A ``settled`` thread runs on through sync points and
-        breaks before an ``ACQUIRE`` only when another thread holds the
-        lock.  Returns one batched :class:`StepEffects` summary whose
-        ``batch`` counts the executed instructions and ``syncs`` lists
-        the syncs in order; ``uses`` / ``defs`` stay empty, as nothing
-        on this path consumes them.
+        switch drawn by :attr:`draw`, the ``max_steps`` budget, or after
+        ``limit`` steps (how :meth:`run` stops at ``until``).
+        ``settled`` (see the module docstring) lets the chain run on
+        through sync points.  Returns one batched :class:`StepEffects`
+        summary whose ``batch`` counts the executed instructions and
+        ``syncs`` lists the syncs in order; ``uses`` / ``defs`` are
+        empty tuples, as nothing on this path consumes them.
 
         Each stretch of one frame runs in the emitted ``run`` of its
         function, which stops by itself at a chain break or at
         ``stop_at``; it comes back here only after a ``CALL`` or
-        ``RETURN``.  ``commit`` is the scheduler's ``block_commit``: it
-        pre-draws the scheduler's per-instruction decisions over each
-        block of ``span`` so interleavings stay byte-identical to
-        instruction mode, and ``run`` executes the committed prefix.
+        ``RETURN``, where the next instruction's boundary is checked.
         """
         thread = self.threads[thread_name]
         frames = thread.frames
-        spans, runs = self.blocks.span, self._runs
-        acquire_locks = self.acquire_locks
+        runs, draw = self._runs, self.draw
         start = self.step_count
-        stop_at = self.max_steps if limit is None \
-            else min(self.max_steps, start + limit)
-        effects = StepEffects(thread=thread_name, step=start,
-                              pc=frames[-1].pc, op=None)
+        stop_at = self.max_steps
+        if limit is not None and start + limit < stop_at:
+            stop_at = start + limit
+        effects = StepEffects(thread_name, start, frames[-1].pc, None, (), ())
         if thread.started_at is None:
             thread.started_at = start
-        first = True
         try:
             while True:
                 frame = frames[-1]
-                if commit is None:
-                    if not runs[frame.func](self, thread, frame, effects,
-                                            settled, stop_at):
-                        break  # a chain break, or the budget ran out
-                else:
-                    count = spans[frame.pc]
-                    if self.step_count + count > stop_at:
-                        # an exhausted budget still runs one step, mirroring
-                        # the instruction loop's step-then-check order
-                        count = max(stop_at - self.step_count, 1)
-                    if count > 1 or not first:
-                        self.sched_commits += 1
-                        committed = commit(self, runnable, thread_name,
-                                           count, first)
-                        if committed == 0:
-                            break
-                    else:
-                        committed = count
-                    runs[frame.func](self, thread, frame, effects, settled,
-                                     self.step_count + committed)
-                    first = False
-                    if committed < count or (
-                            not settled and effects.sync is not None):
-                        # a scheduler switch, or a sync the observer must
-                        # see before the next pick
-                        break
+                if not runs[frame.func](self, thread, frame, effects,
+                                        settled, stop_at):
+                    break  # a chain break, or the budget ran out
                 if thread.status is not ThreadStatus.READY \
                         or self.step_count >= stop_at:
                     break  # thread exit, step budget, or caller's limit
-                lock = acquire_locks[frames[-1].pc]
-                if lock is not None and not (
-                        settled and self.locks.is_free_for(lock, thread_name)):
+                lock = self.acquire_locks[frames[-1].pc]
+                if lock is not None and (
+                        settled is not True and (not settled or settled.get(
+                            ("acquire", lock)) == 0)
+                        or not self.locks.is_free_for(lock, thread_name)):
                     break  # pre-acquire pick point (may block or redirect)
+                if draw and draw[0]() < draw[1] and draw[2]():
+                    break  # a switch drawn after the frame change
         except RuntimeFault as fault:
             self.failure = Failure(kind=fault.kind, pc=fault.pc,
                                    thread=thread_name, message=fault.message)
@@ -352,11 +337,11 @@ class Execution:
 
     def block_mode(self):
         """Can this run macro-step?  (blocks installed, no hooks, and a
-        scheduler that is either block-granular or commit-capable.)"""
+        scheduler that is either block-granular or draws inline.)"""
         if self.blocks is None or self.hooks:
             return False
         return (getattr(self.scheduler, "block_granular", False)
-                or getattr(self.scheduler, "block_commit", None) is not None)
+                or self.draw is not None)
 
     # -- the run loop ----------------------------------------------------------
 
@@ -380,26 +365,29 @@ class Execution:
         pick = scheduler.pick
         observe = getattr(scheduler, "observe", None)
         chains = self.block_mode()
-        commit = getattr(scheduler, "block_commit", None) if chains else None
         settled = getattr(scheduler, "settled", None) if chains else None
         before_hooks = self._bound_hook_methods("on_before_step")
         after_hooks = self._bound_hook_methods("on_after_step")
         failure_hooks = self._bound_hook_methods("on_failure")
         instrs = self._instrs
         threads = self.threads
+        acquire_locks, owner = self.acquire_locks, self.locks._owner
+        running, ready = ExecutionStatus.RUNNING, ThreadStatus.READY
         budget = self.max_steps if until is None else until
+        runnable = None
         try:
-            while self.status == ExecutionStatus.RUNNING:
+            while self.status == running:
                 if until is not None and self.step_count >= until:
                     break
-                runnable = self.runnable_threads()
-                if not runnable:
-                    if self.live_threads():
-                        self.status = ExecutionStatus.DEADLOCK
-                        self.failure = deadlock_failure(self)
-                    else:
-                        self.status = ExecutionStatus.COMPLETED
-                    break
+                if runnable is None:
+                    runnable = self.runnable_threads()
+                    if not runnable:
+                        if self.live_threads():
+                            self.status = ExecutionStatus.DEADLOCK
+                            self.failure = deadlock_failure(self)
+                        else:
+                            self.status = ExecutionStatus.COMPLETED
+                        break
                 self.sched_picks += 1
                 name = pick(self, runnable)
                 if name not in runnable:
@@ -407,12 +395,21 @@ class Execution:
                         "scheduler picked non-runnable thread %r" % (name,))
                 if chains:
                     effects = self.run_chain(
-                        name, runnable, commit, budget - self.step_count,
+                        name, budget - self.step_count,
                         settled is not None and settled(name))
+                    thread = threads[name]
+                    if effects.syncs or thread.status is not ready:
+                        runnable = None  # the chain changed who may run
+                    else:
+                        lock = acquire_locks[thread.frames[-1].pc]
+                        if lock is not None and owner[lock] is not None \
+                                and owner[lock] != name:
+                            runnable = None  # it stopped before a held lock
                 else:
                     for before in before_hooks:
                         before(self, name, instrs[threads[name].pc])
                     effects = self.step(name)
+                    runnable = None
                 if observe is not None:
                     observe(self, effects)
                 if self.failure is not None:

@@ -25,14 +25,16 @@ per-instruction pick provably returns the running thread at every
 non-boundary point, so a whole chain of superblocks may run on one pick
 — true for :class:`DeterministicScheduler` (non-preemptive by
 definition) and the search layer's preempting scheduler (it only ever
-redirects at sync points).  Their ``settled(thread)`` is true when every
-pick would keep choosing ``thread`` until it blocks or exits; its chain
-then runs through sync points, breaking only before an ``ACQUIRE`` of a
-lock another thread holds.  :class:`MulticoreScheduler` may switch
-anywhere, so it instead implements ``block_commit``: it pre-draws its
-per-instruction RNG decisions over a block and commits to a burst,
-keeping the interleaving byte-identical to instruction mode while the
-interpreter executes the burst without per-step round-trips.
+redirects at sync points).  Their ``settled(thread)`` is ``True`` when
+every pick would keep choosing ``thread`` until it blocks or exits (its
+chain then runs through sync points, breaking only before an
+``ACQUIRE`` of a lock another thread holds), or a budget of syncs that
+may pass first.  :class:`MulticoreScheduler` may switch anywhere, so it
+instead offers ``chain_draw()``: the emitted chain code draws its
+per-instruction decision itself at every instruction boundary, keeping
+the interleaving byte-identical to instruction mode without a round
+trip per step.  Every pick records the chosen thread as ``current``, so
+neither scheduler needs to observe the steps.
 :class:`ScriptedScheduler` declares neither, so scripted runs always
 execute at instruction granularity.
 """
@@ -53,16 +55,13 @@ class DeterministicScheduler:
         self.current = None
 
     def pick(self, execution, runnable):
-        if self.current in runnable:
-            return self.current
-        return runnable[0]
+        if self.current not in runnable:
+            self.current = runnable[0]
+        return self.current
 
     def settled(self, thread):
         """Non-preemptive: the running thread keeps every pick."""
         return True
-
-    def observe(self, execution, effects):
-        self.current = effects.thread
 
 
 class MulticoreScheduler:
@@ -82,51 +81,52 @@ class MulticoreScheduler:
         self.switch_prob = switch_prob
         self._rng = random.Random(seed)
         self.current = None
-        #: a pick fully drawn during :meth:`block_commit` (the burst
-        #: ended on a switch decision); served by the next :meth:`pick`
-        #: without consuming any further RNG
+        #: the runnable threads of the latest pick, which a chain's
+        #: draws choose from: a chain cannot change them
+        self._runnable = ()
+        #: a switch drawn inside a chain (the chain ended on it); served
+        #: by the next :meth:`pick` without consuming any further RNG
         self._pending_pick = None
 
     def pick(self, execution, runnable):
+        self._runnable = runnable
         if self._pending_pick is not None:
             choice, self._pending_pick = self._pending_pick, None
-            return choice
-        if (self.current in runnable
+        elif (self.current in runnable
                 and self._rng.random() >= self.switch_prob):
             return self.current
-        return runnable[self._rng.randrange(len(runnable))]
+        else:
+            choice = runnable[self._below(len(runnable))]
+        self.current = choice
+        return choice
 
-    def block_commit(self, execution, runnable, thread, span, first):
-        """Commit to consecutive steps of ``thread``, drawing eagerly.
+    def _below(self, n):
+        """``self._rng.randrange(n)`` without its argument checks: the
+        same rejection sampling over ``getrandbits`` (CPython 3.11 to
+        3.13), so seeds keep their interleavings."""
+        getrandbits, bits = self._rng.getrandbits, n.bit_length()
+        value = getrandbits(bits)
+        while value >= n:
+            value = getrandbits(bits)
+        return value
 
-        Replays exactly the RNG draws the per-instruction :meth:`pick`
-        would make over the next ``span`` steps — the superblock
-        interior cannot change the runnable set, so each simulated pick
-        sees the same ``runnable`` the interpreter passed in.  When a
-        draw decides to switch to another thread, that fully drawn pick
-        is parked in ``_pending_pick`` and the burst ends early; a
-        "switch" that lands on ``thread`` itself keeps the burst going,
-        just as instruction mode would keep executing it.
+    def chain_draw(self):
+        """``(random, switch_prob, switch)``: a chain of ``current``
+        continues past an instruction boundary while ``random() >=
+        switch_prob``, else while ``switch()`` is false — the draws the
+        per-instruction :meth:`pick` would make there."""
+        return self._rng.random, self.switch_prob, self._switch
 
-        ``first`` marks the chain's first block, whose first step was
-        already committed by the :meth:`pick` that chose ``thread``.
-        Returns the number of steps to execute now (0 possible on
-        continuation blocks).
-        """
-        committed = 1 if first else 0
-        rng_random = self._rng.random
-        switch_prob = self.switch_prob
-        while committed < span:
-            if rng_random() < switch_prob:
-                target = runnable[self._rng.randrange(len(runnable))]
-                if target != thread:
-                    self._pending_pick = target
-                    break
-            committed += 1
-        return committed
-
-    def observe(self, execution, effects):
-        self.current = effects.thread
+    def _switch(self):
+        """Draw a switch target; park it and return True unless it is
+        the running thread, which keeps running as instruction mode
+        would keep picking it."""
+        runnable = self._runnable
+        target = runnable[self._below(len(runnable))]
+        if target == self.current:
+            return False
+        self._pending_pick = target
+        return True
 
 
 class ScriptedScheduler:

@@ -18,6 +18,7 @@ Each candidate is annotated with (paper Sec. 5):
 """
 
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -238,15 +239,23 @@ class PreemptingScheduler:
     ``block_granular``: the interpreter may run whole block chains per
     pick and every planned preemption still fires exactly where
     instruction-granularity execution would fire it.  Only the running
-    thread's own plan items are ever matched, so a thread no pending
-    item names is :meth:`settled` (unless a switch is forced): its chain
-    runs through sync points, which :meth:`observe` then counts in order.
+    thread's own plan items are ever matched, so :meth:`settled` gives
+    its chain a budget: the syncs that may pass before one of them can
+    match.  The chain runs through those, which :meth:`observe` then
+    counts in order.  ``pending`` maps each item's key to the item (a
+    plan names each key at most once), and ``_named`` the same items by
+    thread, so neither matching nor budgeting scans the plan.
     """
 
     block_granular = True
 
     def __init__(self, plan):
-        self.pending = list(plan)
+        self.pending, self._named = {}, {}
+        for item in plan:
+            key = item.key()
+            if key not in self.pending:
+                self.pending[key] = item
+                self._named.setdefault(item.thread, {})[key] = item
         self.current = None
         self.started = set()
         self.counters = {}
@@ -274,11 +283,13 @@ class PreemptingScheduler:
     # -- plan matching -------------------------------------------------------
 
     def _match(self, thread, kind, lock, occurrence):
-        for i, item in enumerate(self.pending):
-            if (item.thread == thread and item.kind == kind
-                    and item.lock == lock and item.occurrence == occurrence):
-                return self.pending.pop(i)
-        return None
+        """Pop and record the pending item of that key, if any."""
+        key = (thread, kind, lock, occurrence)
+        item = self.pending.pop(key, None)
+        if item is not None:
+            del self._named[thread][key]
+            self.fired.append(item)
+        return item
 
     def pick(self, execution, runnable):
         if self.forced_next is not None:
@@ -300,7 +311,6 @@ class PreemptingScheduler:
         if choice not in self.started:
             item = self._match(choice, "start", None, 0)
             if item is not None:
-                self.fired.append(item)
                 if item.switch_to in runnable and item.switch_to != choice:
                     return item.switch_to
                 return None
@@ -309,28 +319,44 @@ class PreemptingScheduler:
         if lock is not None:
             occurrence = self.counters.get((choice, "acquire", lock), 0)
             item = self._match(choice, "acquire", lock, occurrence)
-            if item is not None:
-                self.fired.append(item)
-                if item.switch_to in runnable and item.switch_to != choice:
-                    return item.switch_to
+            if item is not None and item.switch_to in runnable \
+                    and item.switch_to != choice:
+                return item.switch_to
         return None
 
     def settled(self, thread):
-        """No switch is forced and no pending item names ``thread``."""
-        return self.forced_next is None and all(
-            item.thread != thread for item in self.pending)
+        """``True`` when no pending item names ``thread``; else its
+        chain's budget ``{(kind, lock): n}``: ``n`` such syncs may pass
+        before an item can match (a start item cannot once the thread
+        runs)."""
+        named = self._named.get(thread)
+        if not named:
+            return True
+        budget, counters = {}, self.counters
+        for _thread, kind, lock, occurrence in named:
+            if kind != "start":
+                left = occurrence - counters.get((thread, kind, lock), 0)
+                if 0 <= left < budget.get((kind, lock), left + 1):
+                    budget[kind, lock] = left
+        return budget or True
 
     def observe(self, execution, effects):
         thread = effects.thread
         self.current = thread
         self.started.add(thread)
+        counters = self.counters
+        if not self._named.get(thread):  # nothing to match: count at once
+            for (kind, lock), count in Counter(effects.syncs).items():
+                key = (thread, kind, lock)
+                counters[key] = counters.get(key, 0) + count
+            return
         for kind, lock in effects.syncs:
             key = (thread, kind, lock)
-            occurrence = self.counters.get(key, 0)
-            self.counters[key] = occurrence + 1
+            occurrence = counters.get(key, 0)
+            counters[key] = occurrence + 1
             if kind == "release":
                 item = self._match(thread, "release", lock, occurrence)
-                if item is not None:
-                    self.fired.append(item)
-                    if item.switch_to is not None and item.switch_to != thread:
-                        self.forced_next = item.switch_to
+                if item is not None \
+                        and item.switch_to is not None \
+                        and item.switch_to != thread:
+                    self.forced_next = item.switch_to

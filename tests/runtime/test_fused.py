@@ -154,8 +154,7 @@ def _drive(bundle, mode, limit):
     while execution.failure is None and execution.runnable_threads():
         runnable = execution.runnable_threads()
         name = scheduler.pick(execution, runnable)
-        effects = execution.run_chain(name, runnable, limit=limit)
-        scheduler.observe(execution, effects)
+        effects = execution.run_chain(name, limit=limit)
         batches.append(effects.batch)
     return batches, outcome(execution, None)[1:]
 

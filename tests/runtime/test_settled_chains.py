@@ -9,6 +9,7 @@ scheduler state — while issuing no more scheduler picks than chains
 that break at every sync point.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bugs import get_scenario
@@ -136,8 +137,7 @@ def test_settled_chain_stops_at_acquire_of_a_held_lock():
                B.release("L")]))
     execution = bundle.execution(PreemptingScheduler([]), use_blocks=True)
     execution.step("A")  # A now holds L
-    effects = execution.run_chain("B", execution.runnable_threads(),
-                                  settled=True)
+    effects = execution.run_chain("B", settled=True)
     assert effects.batch == 1 and effects.syncs == ()
     assert execution.acquire_locks[execution.threads["B"].pc] == "L"
     assert execution.runnable_threads() == ["A"]
@@ -191,3 +191,68 @@ def test_replayed_testrun_matches_scratch_in_both_granularities():
     result = replayed.run()
     _, instr = run_plan(bundle, overrides, plan, use_blocks=False)
     assert outcome(replayed, result, scheduler) == instr
+
+
+class BooleanSettledScheduler(PreemptingScheduler):
+    """The chain rule before budgets: a thread some pending item names
+    breaks its chain at every sync point."""
+
+    def settled(self, thread):
+        return super().settled(thread) is True
+
+
+def _looping_locks():
+    """A takes and drops L five times; B bumps ``g`` under L twice."""
+    body = [B.acquire("L"), B.assign("g", B.add(B.v("g"), 1)),
+            B.release("L")]
+    return _bundle(
+        ("A", [B.for_("i", 0, 5, body), B.output(B.v("g"))]),
+        ("B", [B.for_("j", 0, 2, body)]))
+
+
+@pytest.mark.parametrize("plan", [
+    # two items on the same thread and lock, at different occurrences
+    [PlannedPreemption("A", "acquire", "L", 1, "B"),
+     PlannedPreemption("A", "acquire", "L", 3, "B")],
+    [PlannedPreemption("A", "release", "L", 0, "B"),
+     PlannedPreemption("A", "release", "L", 2, "B")],
+    # an item that can never match: the budget outlives the run
+    [PlannedPreemption("A", "acquire", "L", 99, "B")],
+    # release items whose switch dissolves (none, self, a finished thread)
+    [PlannedPreemption("A", "release", "L", 1, None)],
+    [PlannedPreemption("A", "release", "L", 2, "A")],
+    [PlannedPreemption("B", "release", "L", 1, "A"),
+     PlannedPreemption("A", "release", "L", 4, "B")],
+])
+def test_budgets_match_instruction_mode_with_no_more_picks(plan):
+    bundle = _looping_locks()
+    _, instr = run_plan(bundle, None, plan, use_blocks=False)
+    budget_ex, budget = run_plan(bundle, None, plan, use_blocks=True)
+    boolean_ex, boolean = run_plan(bundle, None, plan, use_blocks=True,
+                                   cls=BooleanSettledScheduler)
+    assert budget == instr
+    assert boolean == instr
+    assert budget_ex.sched_picks <= boolean_ex.sched_picks
+
+
+def test_a_budget_runs_through_the_syncs_before_its_item():
+    """The acquire item at occurrence 3 lets three acquires pass on A's
+    first chain, which then stops right before the fourth."""
+    plan = [PlannedPreemption("A", "acquire", "L", 3, "B")]
+    bundle = _looping_locks()
+    scheduler = PreemptingScheduler(list(plan))
+    execution = bundle.execution(scheduler, use_blocks=True)
+    assert scheduler.settled("A") == {("acquire", "L"): 3}
+    assert scheduler.settled("B") is True
+    name = scheduler.pick(execution, execution.runnable_threads())
+    effects = execution.run_chain(name, settled=scheduler.settled(name))
+    assert name == "A"
+    assert effects.syncs == (("acquire", "L"), ("release", "L")) * 3
+    assert execution.acquire_locks[execution.threads["A"].pc] == "L"
+    _, instr = run_plan(bundle, None, plan, use_blocks=False)
+    budget_ex, budget = run_plan(bundle, None, plan, use_blocks=True)
+    boolean_ex, _ = run_plan(bundle, None, plan, use_blocks=True,
+                             cls=BooleanSettledScheduler)
+    assert budget == instr
+    assert [item.key() for item in budget[3]["fired"]] == [plan[0].key()]
+    assert budget_ex.sched_picks < boolean_ex.sched_picks

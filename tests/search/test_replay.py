@@ -62,7 +62,6 @@ class TestPreemptingSchedulerRestore:
             runnable = ex2.runnable_threads()
             name = det.pick(ex2, runnable)
             effects = ex2.step(name)
-            det.observe(ex2, effects)
             started.add(effects.thread)
             if effects.sync is not None:
                 kind, lock = effects.sync

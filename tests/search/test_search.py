@@ -100,7 +100,7 @@ class TestPreemptingScheduler:
         plan = [PlannedPreemption("T1", "release", "lock", 2, "T2")]
         result, scheduler = self._run_with_plan(bundle, plan)
         assert len(scheduler.fired) == 1
-        assert scheduler.pending == []
+        assert scheduler.pending == {}
 
     def test_unfireable_preemption_dissolves(self, fig1_setup):
         bundle = fig1_setup["bundle"]
