@@ -34,6 +34,11 @@ exploits this to run whole blocks — and, for schedulers that provably
 never switch between blocks, whole chains of blocks — on a single
 scheduler pick while staying byte-identical to instruction-granularity
 execution.
+
+``region_work`` additionally marks the pcs where execution-index region
+bookkeeping can possibly fire: a ``BRANCH`` (pushes a region) or any pc
+that is some branch's region exit (pops).  Blocks that carry no such pc
+skip the per-instruction ``_pop_regions`` call entirely.
 """
 
 from dataclasses import dataclass, field
@@ -127,19 +132,38 @@ class BlockTable:
     #: pc is a scheduling-relevant instruction (sync, may-shared access,
     #: assert/output) — always a singleton block
     relevant: list
+    #: region bookkeeping may fire at this pc (a BRANCH, or some
+    #: branch's region-exit point)
+    region_work: list
     #: ``span`` of the coarser partition bounded only by control
     #: transfers and sync instructions, for chains of schedulers that
     #: never switch at a mere shared access
     chain_span: list = field(default_factory=list)
+    #: total number of blocks
+    n_blocks: int = 0
     #: head pcs in ascending order (diagnostics and tests)
     heads: list = field(default_factory=list)
 
     def is_head(self, pc):
         return self.head[pc]
 
+    def stats(self):
+        spans = [self.span[pc] for pc in self.heads]
+        return {
+            "blocks": self.n_blocks,
+            "instrs": len(self.span),
+            "singletons": sum(1 for s in spans if s == 1),
+            "max_span": max(spans) if spans else 0,
+            "mean_span": (sum(spans) / len(spans)) if spans else 0.0,
+        }
 
-def compute_block_table(compiled):
-    """Partition ``compiled`` into superblocks."""
+
+def compute_block_table(compiled, analysis):
+    """Partition ``compiled`` into superblocks.
+
+    ``analysis`` (the program's :class:`~repro.analysis.StaticAnalysis`)
+    supplies the region-exit points for the ``region_work`` flags.
+    """
     instrs = compiled.instrs
     n = len(instrs)
     leader = [False] * n
@@ -177,12 +201,25 @@ def compute_block_table(compiled):
                 if not leads[pc + 1]:
                     spans[pc] = spans[pc + 1] + 1
 
+    # region bookkeeping: BRANCH pushes; pops fire only at pcs that are
+    # some branch's region exit (negative virtual exits never match a
+    # real pc, so they are irrelevant here)
+    exit_pcs = set()
+    for pc in range(n):
+        if instrs[pc].op is Opcode.BRANCH:
+            exit_pc = analysis.region_exit(pc)
+            if exit_pc is not None and 0 <= exit_pc < n:
+                exit_pcs.add(exit_pc)
+    region_work = [pc in exit_pcs or instrs[pc].op is Opcode.BRANCH
+                   for pc in range(n)]
+
+    heads = [pc for pc in range(n) if leader[pc]]
     return BlockTable(span=span, head=leader, relevant=relevant,
-                      chain_span=chain_span,
-                      heads=[pc for pc in range(n) if leader[pc]])
+                      region_work=region_work, chain_span=chain_span,
+                      n_blocks=len(heads), heads=heads)
 
 
-def block_table_for(compiled):
+def block_table_for(compiled, analysis):
     """The (cached) block table of ``compiled``.
 
     One compiled program has one partition; the table is memoized on the
@@ -191,6 +228,6 @@ def block_table_for(compiled):
     """
     table = getattr(compiled, "_block_table", None)
     if table is None:
-        table = compute_block_table(compiled)
+        table = compute_block_table(compiled, analysis)
         compiled._block_table = table
     return table

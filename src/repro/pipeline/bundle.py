@@ -36,7 +36,7 @@ class ProgramBundle:
     @property
     def block_table(self):
         """The program's superblock partition (computed once, cached)."""
-        return block_table_for(self.compiled)
+        return block_table_for(self.compiled, self.analysis)
 
     def execution(self, scheduler, input_overrides=None, instrument_loops=True,
                   hooks=(), max_steps=None, use_blocks=True):

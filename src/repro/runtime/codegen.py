@@ -12,12 +12,11 @@ Python locals, and applies the scheduler's stop rule itself: a chain
 break where a chain block ends, a sync budget at each sync, and the
 seeded multicore scheduler's draw at every instruction boundary.
 Program text enters it only as the ``repr`` of a str, int, finite float
-or bool, or as a name bound in its namespace.  The emitted functions
-are cached process-wide by a fingerprint of what emission reads.
+or bool, or as a name bound in its namespace.  Code objects are cached
+process-wide by a digest of their source.
 """
 
 import math
-import pickle
 import threading
 from hashlib import blake2b
 from operator import add, eq, ge, gt, le, lt, mul, ne, neg, sub
@@ -621,9 +620,24 @@ class _Emitter:
         return "\n".join(out) + "\n"
 
 
-#: emitted ``run`` tables by program fingerprint (None: rejected);
-#: process-wide, emptied whenever it holds 256
-_RUNS, _RUNS_LOCK = {}, threading.Lock()
+#: emitted code objects by a digest of their source (None: rejected);
+#: process-wide, emptied whenever it holds 512
+_CODES, _CODES_LOCK = {}, threading.Lock()
+
+
+def _compile(source):
+    key = blake2b(source.encode(), digest_size=16).digest()
+    code = _CODES.get(key, False)
+    if code is False:
+        try:
+            code = compile(source, "<emitted>", "exec")
+        except (SyntaxError, RecursionError, MemoryError):
+            code = None  # nested past the parser's limit, say
+        with _CODES_LOCK:
+            if len(_CODES) >= 512:
+                _CODES.clear()
+            _CODES[key] = code
+    return code
 
 
 class CodeTable:
@@ -650,33 +664,11 @@ class CodeTable:
         ``ex.draw`` draws a switch (returning False; None when the step
         count stopped it), or until a ``CALL`` or ``RETURN`` (returning
         True).  It leaves ``fr.pc`` and ``ex.step_count`` exact, also
-        when an instruction raises.  Programs that emit the same source
-        share one table.
+        when an instruction raises.
         """
         if self._emitted is False:
-            span = blocks.chain_span
-            key = self._fingerprint(span)
-            runs = _RUNS.get(key, False)
-            if runs is False:
-                runs = self._emit(span)
-                with _RUNS_LOCK:
-                    if len(_RUNS) >= 256:
-                        _RUNS.clear()
-                    _RUNS[key] = runs
-            self._emitted = runs
+            self._emitted = self._emit(blocks.chain_span)
         return self._emitted
-
-    def _fingerprint(self, span):
-        """A digest of everything emission reads (programs pickle: pool
-        workers receive them that way)."""
-        compiled, analysis = self.compiled, self.analysis
-        exits = [analysis.region_exit(instr.pc) for instr in compiled.instrs
-                 if instr.op is Opcode.BRANCH]
-        functions = [(fc.name, fc.params, fc.entry_pc, fc.end_pc)
-                     for fc in compiled.functions.values()]
-        data = pickle.dumps((compiled.instrs, exits, functions, span,
-                             sorted(compiled.program.globals)), protocol=5)
-        return blake2b(data, digest_size=16).digest()
 
     def _emit(self, span):
         exits = {}  # region exit pc -> whether a loop's region exits there
@@ -687,10 +679,9 @@ class CodeTable:
         ret, runs = [None] * len(span), {}
         for fc in self.compiled.functions.values():
             emitter = _Emitter(self, fc, span, exits)
-            try:
-                code = compile(emitter.module(), "<emitted>", "exec")
-            except (SyntaxError, RecursionError, MemoryError):
-                return None  # nested past the parser's limit, say
+            code = _compile(emitter.module())
+            if code is None:
+                return None
             namespace = dict(_NAMESPACE, RET=ret, FUNC=fc.name,
                              **emitter.bound)
             exec(code, namespace)

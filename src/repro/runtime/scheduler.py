@@ -96,19 +96,9 @@ class MulticoreScheduler:
                 and self._rng.random() >= self.switch_prob):
             return self.current
         else:
-            choice = runnable[self._below(len(runnable))]
+            choice = runnable[self._rng.randrange(len(runnable))]
         self.current = choice
         return choice
-
-    def _below(self, n):
-        """``self._rng.randrange(n)`` without its argument checks: the
-        same rejection sampling over ``getrandbits`` (CPython 3.11 to
-        3.13), so seeds keep their interleavings."""
-        getrandbits, bits = self._rng.getrandbits, n.bit_length()
-        value = getrandbits(bits)
-        while value >= n:
-            value = getrandbits(bits)
-        return value
 
     def chain_draw(self):
         """``(random, switch_prob, switch)``: a chain of ``current``
@@ -122,7 +112,7 @@ class MulticoreScheduler:
         the running thread, which keeps running as instruction mode
         would keep picking it."""
         runnable = self._runnable
-        target = runnable[self._below(len(runnable))]
+        target = runnable[self._rng.randrange(len(runnable))]
         if target == self.current:
             return False
         self._pending_pick = target

@@ -124,10 +124,24 @@ def test_private_straightline_code_coalesces():
     assert not table.relevant[entry]
 
 
+def test_region_work_marks_branches_and_exits(fig1_table):
+    bundle, table = fig1_table
+    analysis = bundle.analysis
+    exit_pcs = set()
+    for pc, instr in enumerate(bundle.compiled.instrs):
+        if instr.op is Opcode.BRANCH:
+            assert table.region_work[pc], pc
+            exit_pc = analysis.region_exit(pc)
+            if exit_pc is not None and exit_pc >= 0:
+                exit_pcs.add(exit_pc)
+    for pc in exit_pcs:
+        assert table.region_work[pc], pc
+
+
 def test_table_cached_on_compiled(fig1_table):
     bundle, table = fig1_table
-    assert block_table_for(bundle.compiled) is table
-    fresh = compute_block_table(bundle.compiled)
+    assert block_table_for(bundle.compiled, bundle.analysis) is table
+    fresh = compute_block_table(bundle.compiled, bundle.analysis)
     assert fresh.span == table.span
     assert fresh.heads == table.heads
 
@@ -139,6 +153,6 @@ def test_table_pickles_round_trip(fig1_table):
     clone = pickle.loads(pickle.dumps(table))
     assert clone.span == table.span
     assert clone.head == table.head
-    assert clone.relevant == table.relevant
+    assert clone.region_work == table.region_work
     assert clone.chain_span == table.chain_span
-    assert clone.heads == table.heads
+    assert clone.stats() == table.stats()
