@@ -96,7 +96,7 @@ class MulticoreScheduler:
                 and self._rng.random() >= self.switch_prob):
             return self.current
         else:
-            choice = runnable[self._rng.randrange(len(runnable))]
+            choice = self._rng.choice(runnable)
         self.current = choice
         return choice
 
@@ -112,7 +112,7 @@ class MulticoreScheduler:
         the running thread, which keeps running as instruction mode
         would keep picking it."""
         runnable = self._runnable
-        target = runnable[self._rng.randrange(len(runnable))]
+        target = self._rng.choice(runnable)
         if target == self.current:
             return False
         self._pending_pick = target
